@@ -140,7 +140,7 @@ def cmd_eval(args):
     mode = args.mode or active.eval_mode()
     report, records = M.evaluate(
         model, utts, mode=mode, costs=costs,
-        target_T=tconf.target_T, jobs=active.eval_jobs(), protocol=protocol,
+        target_T=tconf.target_T, protocol=protocol,
     )
     weights = tconf.class_weights or TR.inverse_frequency_weights(utts)
     report["mean_loss"] = TR.validate(model, utts, tconf, weights)
@@ -161,7 +161,7 @@ def _train_and_eval(cfg, corpus, model_config):
     tconf = cfg.train_config()
     report, _ = M.evaluate(
         model, corpus["eval"], mode=cfg.eval_mode(), costs=cfg.tdcf_costs(),
-        target_T=tconf.target_T, jobs=cfg.eval_jobs(),
+        target_T=tconf.target_T,
     )
     return report
 

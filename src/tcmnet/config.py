@@ -37,7 +37,7 @@ _SCHEMA = {
         "max_epochs", "top_k_average", "seed", "target_T",
     },
     "tdcf": {"c0", "c1", "c2"},
-    "eval": {"mode", "jobs"},
+    "eval": {"mode"},
 }
 
 
@@ -78,15 +78,12 @@ class RunConfig:
     def eval_mode(self):
         return self.doc.get("eval", {}).get("mode", "fixed")
 
-    def eval_jobs(self):
-        return int(self.doc.get("eval", {}).get("jobs", 1))
-
     def resolved(self):
         """Fully-expanded document, defaults included."""
         out = {
             "corpus": asdict(self.corpus_spec()),
             "train": asdict(self.train_config()),
-            "eval": {"mode": self.eval_mode(), "jobs": self.eval_jobs()},
+            "eval": {"mode": self.eval_mode()},
         }
         section = dict(self.doc.get("model", {}))
         toggles = TcmToggles(**section.pop("toggles", {}))

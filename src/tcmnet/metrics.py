@@ -13,7 +13,6 @@ rational inputs, so independent reimplementations can agree bit-for-bit.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,21 +141,14 @@ def read_scores(path):
 # ---------------------------------------------------------------------------
 
 
-def score_split(model, utts, mode="fixed", target_T=200, jobs=1):
-    """ScoreRecord per utterance, in input order."""
+def score_split(model, utts, mode="fixed", target_T=200):
+    """ScoreRecord per utterance, in input order. Variable mode scores each
+    full-length utterance on its own."""
     if mode not in ("fixed", "variable"):
         raise ConfigError(f"unknown eval mode {mode!r}")
-
-    def one(utt):
-        feats = fix_length(utt.features, target_T) if mode == "fixed" else utt.features
-        return ScoreRecord(utt.id, model.score(feats))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, utts))
     if mode == "fixed":
         return _score_fixed_batched(model, utts, target_T)
-    return [one(u) for u in utts]
+    return [ScoreRecord(u.id, model.score(u.features)) for u in utts]
 
 
 def _score_fixed_batched(model, utts, target_T, chunk=32):
@@ -182,9 +174,9 @@ def split_by_label(records, labels_by_id):
 
 
 def evaluate(model, utts, mode="fixed", costs: TdcfCosts | None = None,
-             target_T=200, jobs=1, protocol=None):
+             target_T=200, protocol=None):
     """Score a split and compute EER (and min t-DCF when costs are given)."""
-    records = score_split(model, utts, mode=mode, target_T=target_T, jobs=jobs)
+    records = score_split(model, utts, mode=mode, target_T=target_T)
     labels = dict(protocol) if protocol else {u.id: u.label for u in utts}
     bona, spoof = split_by_label(records, labels)
     eer, threshold = compute_eer(bona, spoof)

@@ -73,14 +73,10 @@ class ModelConfig:
 
 @dataclass
 class TokenSequence:
-    """(T+1) x D activations with the classification token at row 0."""
+    """(..., T+1, D) activations with the classification token at row 0."""
 
     tokens: Tensor
     T: int
-
-    @property
-    def cls(self):
-        return tt.slice_axis(self.tokens, 0, 0, 1)
 
 
 def sinusoidal_encoding(T, D):
@@ -225,10 +221,8 @@ class Model:
         return out
 
     def prepend_cls(self, x):
-        cls_row = tt.reshape(self.p("cls"), (1, self.config.dim))
-        if x.data.ndim == 3:
-            cls_row = tt.expand(cls_row, (x.shape[0], 1, self.config.dim))
-        return TokenSequence(tt.concat([cls_row, x], axis=-2), T=x.shape[-2])
+        cls_rows = tt.expand(self.p("cls"), x.shape[:-2] + (1, self.config.dim))
+        return TokenSequence(tt.concat([cls_rows, x], axis=-2), T=x.shape[-2])
 
     def _mhsa(self, x, prefix, trace=None):
         """Standard multi-head attention over an S x D sequence."""
@@ -362,23 +356,7 @@ class Model:
             return self.conformer_block_forward(seq, b, drop=drop, trace=trace)
         return self.transformer_block_forward(seq, b, drop=drop, trace=trace)
 
-    def forward(self, features, drop=None, trace=None):
-        """T x F features -> (score, logits). Score = bonafide - spoof logit."""
-        feats = features.data if isinstance(features, Tensor) else np.asarray(features)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ConfigError(f"expected non-empty T x F features, got {feats.shape}")
-        x = self.project_features(features)
-        seq = self.prepend_cls(x)
-        for b in range(self.config.blocks):
-            seq = self.block_forward(seq, b, drop=drop, trace=trace)
-        cls_row = tt.slice_axis(seq.tokens, 0, 0, 1)
-        logits = tt.reshape(
-            tt.affine(cls_row, self.p("head.weight"), self.p("head.bias")), (2,)
-        )
-        score = float(logits.data[0] - logits.data[1])
-        return score, logits
-
-    def forward_batch(self, features, drop=None):
+    def forward_batch(self, features, drop=None, trace=None):
         """(B, T, F) stacked same-length features -> (B, 2) logits."""
         feats = features.data if isinstance(features, Tensor) else np.asarray(features)
         if feats.ndim != 3 or feats.shape[1] == 0:
@@ -387,19 +365,25 @@ class Model:
                                   else Tensor(feats))
         seq = self.prepend_cls(x)
         for b in range(self.config.blocks):
-            seq = self.block_forward(seq, b, drop=drop)
+            seq = self.block_forward(seq, b, drop=drop, trace=trace)
         cls_row = tt.slice_axis(seq.tokens, -2, 0, 1)
         out = tt.affine(cls_row, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
+
+    def forward(self, features, drop=None, trace=None):
+        """T x F features -> (score, logits), as a batch of one.
+        Score = bonafide - spoof logit."""
+        feats = np.asarray(features)
+        if feats.ndim != 2:
+            raise ConfigError(f"expected T x F features, got {feats.shape}")
+        batch = self.forward_batch(feats[None], drop=drop, trace=trace)
+        logits = tt.reshape(batch, (2,))
+        return float(logits.data[0] - logits.data[1]), logits
 
     def score(self, features):
         with tt.no_grad():
             s, _ = self.forward(features)
         return s
-
-
-def model_forward(features, model, drop=None, trace=None):
-    return model.forward(features, drop=drop, trace=trace)
 
 
 def tcm_param_delta(config: ModelConfig, respect_toggles=False):

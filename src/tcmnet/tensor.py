@@ -56,23 +56,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # convenience operators (same-shape or broadcastable, see add/mul)
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class ComputationTape:
     """Ordered record of executed ops; replayed backward for gradients."""
@@ -166,20 +149,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = _make(a.data - b.data, a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accum_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accum_grad(_unbroadcast(-g, b.data.shape))
-
-    _record(out, bwd)
-    return out
-
-
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     out = _make(a.data * b.data, a, b)
@@ -212,33 +181,6 @@ def mul_const(a, c):
 
     def bwd(g):
         a.accum_grad(g * c)
-
-    _record(out, bwd)
-    return out
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(a.data @ b.data, a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accum_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accum_grad(a.data.T @ g)
-
-    _record(out, bwd)
-    return out
-
-
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = _make(a.data.T.copy(), a)
-
-    def bwd(g):
-        a.accum_grad(g.T)
 
     _record(out, bwd)
     return out
@@ -286,21 +228,6 @@ def slice_axis(a, axis, start, stop):
     return out
 
 
-def softmax_rows(x):
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = _make(y, x)
-
-    def bwd(g):
-        x.accum_grad((g - (g * y).sum(axis=1, keepdims=True)) * y)
-
-    _record(out, bwd)
-    return out
-
-
 def log_softmax_rows(x):
     if x.data.ndim != 2:
         raise ShapeError(f"log_softmax_rows expects a matrix, got shape {x.shape}")
@@ -321,21 +248,16 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then affine. Leading axes are batch."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    xd = x.data
-    squeeze = xd.ndim == 1
-    if squeeze:
-        xd = xd[None, :]
-    elif xd.ndim > 2:
-        xd = xd.reshape(-1, xd.shape[-1])
+    xd = x.data.reshape(-1, x.shape[-1])
     mu = xd.mean(axis=1, keepdims=True)
     var = xd.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
     y = gamma.data * xhat + beta.data
-    out = _make(y[0] if squeeze else y.reshape(x.data.shape), x, gamma, beta)
+    out = _make(y.reshape(x.data.shape), x, gamma, beta)
 
     def bwd(g):
-        gg = g[None, :] if squeeze else g.reshape(xd.shape)
+        gg = g.reshape(xd.shape)
         if gamma.requires_grad:
             gamma.accum_grad((gg * xhat).sum(axis=0))
         if beta.requires_grad:
@@ -347,7 +269,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                 - dxhat.mean(axis=1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
             )
-            x.accum_grad(dx[0] if squeeze else dx.reshape(x.data.shape))
+            x.accum_grad(dx.reshape(x.data.shape))
 
     _record(out, bwd)
     return out
@@ -474,15 +396,9 @@ def affine(x, w, b):
         if x.requires_grad:
             x.accum_grad(g @ w.data.T)
         if w.requires_grad:
-            if g.ndim == 2:
-                w.accum_grad(x.data.T @ g)
-            else:
-                w.accum_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout))
+            w.accum_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout))
         if b.requires_grad:
-            if g.ndim == 2:
-                b.accum_grad(g.sum(axis=0))
-            else:
-                b.accum_grad(g.reshape(-1, dout).sum(axis=0))
+            b.accum_grad(g.reshape(-1, dout).sum(axis=0))
 
     _record(out, bwd)
     return out
@@ -504,8 +420,8 @@ def mhsa_core(q, k, v, heads, trace=None):
 
     q, k, v: (..., S, D) with D divisible by `heads`; returns the same-shape
     concatenation of softmax(Qi Ki^T / sqrt(d)) Vi. One tape node for the
-    whole head loop; `trace` (2-D inputs only) collects per-head
-    row-stochastic weights.
+    whole head loop; `trace` collects the row-stochastic S x S weights,
+    one entry per (leading index, head) in row-major order.
     """
     if q.data.ndim < 2:
         raise ShapeError(f"mhsa_core expects (..., S, D), got shape {q.shape}")
@@ -525,10 +441,8 @@ def mhsa_core(q, k, v, heads, trace=None):
     a = np.exp(s)
     a /= a.sum(axis=-1, keepdims=True)
     if trace is not None:
-        if a.ndim != 3:
-            raise ShapeError("attention tracing needs unbatched (S, D) input")
-        for i in range(heads):
-            trace.append({"attn_len": S, "weights": a[i].copy()})
+        for w in a.reshape(-1, S, S):
+            trace.append({"attn_len": S, "weights": w.copy()})
     out = _make((a @ v3).swapaxes(-3, -2).reshape(q.data.shape), q, k, v)
 
     def bwd(g):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tt
-from .data import batch_iter
+from .data import batch_iter, fix_length
 from .model import DropoutCtx, Model
 from .tensor import ConfigError, Tensor
 
@@ -146,7 +146,7 @@ def validate(model: Model, dev_utts, config: TrainConfig, class_weights):
         for lo in range(0, len(dev_utts), chunk):
             part = dev_utts[lo : lo + chunk]
             logits = batch_logits(
-                model, [_fixed(u, config.target_T) for u in part]
+                model, [fix_length(u.features, config.target_T) for u in part]
             )
             loss = weighted_cross_entropy(
                 logits, [LABEL_INDEX[u.label] for u in part], class_weights
@@ -155,18 +155,16 @@ def validate(model: Model, dev_utts, config: TrainConfig, class_weights):
     return total / len(dev_utts)
 
 
-def _fixed(utt, target_T):
-    from .data import fix_length
-
-    return fix_length(utt.features, target_T)
-
-
 def early_stop(history, patience):
     """True iff the running-best validation loss is at least `patience`
-    epochs old (strict improvement resets the clock)."""
+    epochs old (strict improvement resets the clock). A NaN loss is never
+    the best; with no other loss, the clock runs from before epoch 1."""
     if not history:
         raise ConfigError("early_stop needs a non-empty history")
-    best_idx = int(np.argmin(history))  # first occurrence: ties do not improve
+    losses = np.asarray(history, dtype=float)
+    numbered = np.flatnonzero(~np.isnan(losses))
+    # first occurrence: ties do not improve
+    best_idx = int(numbered[np.argmin(losses[numbered])]) if numbered.size else -1
     return (len(history) - 1 - best_idx) >= patience
 
 
@@ -269,16 +267,22 @@ def load_into_model(model: Model, ckpt: Checkpoint):
         model.params[name].data = arr.copy()
 
 
+def _loss_rank(ck):
+    # NaN != NaN, so a NaN loss must not reach the comparison
+    nan = bool(np.isnan(ck.val_loss))
+    return (nan, 0.0 if nan else ck.val_loss, ck.epoch)
+
+
 def average_checkpoints(checkpoints, k) -> Checkpoint:
     """Elementwise mean of the k lowest-val-loss checkpoints (ties: earlier
-    epoch first). Fewer than k available: average all."""
+    epoch first; NaN losses rank last). Fewer than k available: average all."""
     if not checkpoints:
         raise CheckpointError("no checkpoints to average")
     inventory = {n: a.shape for n, a in checkpoints[0].params.items()}
     for ck in checkpoints[1:]:
         if {n: a.shape for n, a in ck.params.items()} != inventory:
             raise CheckpointError("checkpoints have incompatible parameter inventories")
-    chosen = sorted(checkpoints, key=lambda c: (c.val_loss, c.epoch))[:k]
+    chosen = sorted(checkpoints, key=_loss_rank)[:k]
     params = {
         name: np.mean([c.params[name] for c in chosen], axis=0)
         for name in inventory

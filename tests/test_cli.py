@@ -48,6 +48,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"corpsu": {}}))
     with pytest.raises(ConfigError, match="corpsu"):
         RunConfig.load(path)
+    path.write_text(json.dumps({"eval": {"mode": "fixed", "jobs": 4}}))
+    with pytest.raises(ConfigError, match="jobs"):
+        RunConfig.load(path)
 
 
 def test_config_overrides():

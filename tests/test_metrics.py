@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcmnet import tensor as tt
 from tcmnet.data import CorpusSpec, generate_corpus
 from tcmnet.metrics import (
     ScoreFileError,
@@ -18,7 +19,7 @@ from tcmnet.metrics import (
     write_scores,
 )
 from tcmnet.model import Model, ModelConfig
-from tcmnet.tensor import ConfigError
+from tcmnet.tensor import ConfigError, Tensor
 
 
 def brute_force_min_tdcf(bona, spoof, costs):
@@ -249,12 +250,22 @@ def test_evaluate_missing_protocol_id():
                  protocol=[(utts[0].id, utts[0].label)])
 
 
-def test_evaluate_parallel_matches_serial():
-    utts = _tiny_split()
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_scoring_restores_grad_mode_and_tape(mode):
+    # scoring runs under no_grad; training that follows must record again
+    utts = _tiny_split(6)
     model = _tiny_model()
-    serial = score_split(model, utts, target_T=10, jobs=1)
-    parallel = score_split(model, utts, target_T=10, jobs=4)
-    assert [(r.id, r.score) for r in serial] == [(r.id, r.score) for r in parallel]
+    x = Tensor(np.ones(3), requires_grad=True)
+    tt.reset_tape()
+    try:
+        tt.sum_all(x)
+        score_split(model, utts, mode=mode, target_T=10)
+        evaluate(model, utts, mode=mode, target_T=10)
+        assert len(tt.active_tape()) == 1
+        assert tt.sum_all(x).requires_grad
+        assert len(tt.active_tape()) == 2
+    finally:
+        tt.reset_tape()
 
 
 def test_evaluate_variable_mode_scores_full_length():

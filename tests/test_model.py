@@ -417,6 +417,28 @@ def test_forward_batch_matches_per_utterance():
         assert np.allclose(batched[i], logits.data, atol=1e-12)
 
 
+def test_forward_batch_trace_matches_per_utterance():
+    cfg = small_config(blocks=2)
+    m = Model(cfg, seed=33)
+    B, T, H = 3, 5, cfg.heads
+    feats = np.random.default_rng(33).standard_normal((B, T, 6))
+    trace = []
+    m.forward_batch(feats, trace=trace)
+    assert len(trace) == cfg.blocks * B * H
+    for i in range(B):
+        single = []
+        m.forward(feats[i], trace=single)
+        assert len(single) == cfg.blocks * H
+        for blk in range(cfg.blocks):
+            for h in range(H):
+                got = trace[(blk * B + i) * H + h]
+                want = single[blk * H + h]
+                assert got["attn_len"] == want["attn_len"] == T + H + 1
+                assert np.all(np.abs(got["weights"].sum(axis=1) - 1.0) < 1e-9)
+                assert np.allclose(got["weights"], want["weights"],
+                                   rtol=0, atol=1e-12)
+
+
 def test_forward_batch_gradients_match_summed_per_utterance():
     cfg = ModelConfig(feature_dim=5, dim=8, heads=2, blocks=1, conv_kernel=3,
                       dropout=0.0, positional_encoding="none")

@@ -1,0 +1,89 @@
+"""Guard for the benchmark's tracer: `perfbench/trace.py` wraps tcmnet
+functions by name, so a rename in `src/` would only show when
+`perfbench/run.py --trace 1` runs. Here the tracer is installed against
+the current package, driven through a tiny training and scoring run, and
+uninstalled."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from tcmnet import data as D
+from tcmnet import metrics as M
+from tcmnet import model as MD
+from tcmnet import tensor as tt
+from tcmnet import train as TR
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.trace import FUNCTIONS, MODEL_METHODS, TENSOR_OPS, Tracer  # noqa: E402
+
+
+def _bindings():
+    """Every attribute of every loaded tcmnet module and patched class."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "tcmnet" or name.startswith("tcmnet."):
+            out.update(((name, attr), value) for attr, value in vars(mod).items())
+    for cls in (MD.Model, MD.DropoutCtx):
+        out.update(((cls.__name__, attr), value) for attr, value in vars(cls).items())
+    return out
+
+
+def _tiny_run(tmp_path):
+    spec = D.CorpusSpec(n_train=6, n_dev=4, n_eval=6, feature_dim=6, t_min=8,
+                        t_max=12, band_width=2, seg_len=4, amplitude=2.0, seed=3)
+    corpus = D.generate_corpus(spec)
+    cfg = MD.ModelConfig(feature_dim=6, dim=8, heads=2, blocks=1, conv_kernel=3,
+                         dropout=0.1)
+    net = MD.Model(cfg, seed=0)
+    tconf = TR.TrainConfig(batch_size=3, max_epochs=1, target_T=10, seed=3)
+    result = TR.train(net, corpus["train"], corpus["dev"], tconf)
+    TR.load_into_model(net, result.final)
+    costs = M.TdcfCosts(0.0, 1.0, 1.0)
+    for mode in ("fixed", "variable"):
+        _, records = M.evaluate(net, corpus["eval"], mode=mode, costs=costs,
+                                target_T=10)
+    path = tmp_path / "scores.txt"
+    M.write_scores(records, path)
+    bona, spoof = M.split_by_label(M.read_scores(path),
+                                   {u.id: u.label for u in corpus["eval"]})
+    M.det_points(bona, spoof)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_tape():
+    tt.reset_tape()
+    yield
+    tt.reset_tape()
+
+
+def test_tracer_binds_and_restores_every_name(tmp_path):
+    before = _bindings()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        during = _bindings()
+        wrapped = {key for key, value in before.items() if during[key] is not value}
+        expected = (
+            {("tcmnet.tensor", op) for op in TENSOR_OPS + ("backward",)}
+            | {(f"tcmnet.{mod}", fn) for mod, fn in FUNCTIONS}
+            | {("tcmnet.metrics", "sweep_thresholds"), ("DropoutCtx", "mask")}
+            | {("Model", meth) for meth in MODEL_METHODS}
+        )
+        assert expected <= wrapped, sorted(expected - wrapped)
+        _tiny_run(tmp_path)
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+
+    spans = set(tracer.names)
+    layers = (
+        {f"tensor.{op}.fwd" for op in TENSOR_OPS}
+        | set(FUNCTIONS.values()) | set(MODEL_METHODS.values())
+        | {"tensor.backward", "model.dropout_mask"}
+    )
+    assert layers <= spans, sorted(layers - spans)
+    assert tracer.tape_nodes and tracer.dropout_masks and tracer.thresholds

@@ -41,70 +41,70 @@ def gradcheck(build, arrays_dict, rtol=1e-4, atol=1e-6, label=""):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matrix product (affine is the engine's only matmul)
+
+
+def _matmul(a, b):
+    return tt.affine(a, b, Tensor(np.zeros(b.shape[1])))
 
 
 def test_matmul_identity():
     a = Tensor(np.eye(2))
     b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(tt.matmul(a, b).data, b.data)
+    assert np.array_equal(_matmul(a, b).data, b.data)
 
 
 def test_matmul_hand_product():
-    out = tt.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
+    out = tt.affine(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([0.5]))
+    assert out.data.tolist() == [[11.5]]
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-        tt.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-
-
-def test_matmul_gradcheck():
-    rng = np.random.default_rng(0)
-    arrs = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))}
-    gradcheck(
-        lambda lv: tt.sum_all(tt.mul(tt.matmul(lv["a"], lv["b"]),
-                                     tt.matmul(lv["a"], lv["b"]))),
-        arrs, rtol=1e-6, atol=1e-8,
-    )
+        _matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# attention softmax (inside mhsa_core, read through its trace)
+
+
+def _softmax_rows(scores):
+    """One-head attention weights for m x n `scores`: with S = D = n and
+    k = I, the scaled scores q k^T / sqrt(n) are the rows of q / sqrt(n)."""
+    s = np.asarray(scores, dtype=float)
+    m, n = s.shape
+    q = np.zeros((n, n))
+    q[:m] = s * np.sqrt(n)
+    trace = []
+    tt.mhsa_core(Tensor(q), Tensor(np.eye(n)), Tensor(np.zeros((n, n))), 1,
+                 trace=trace)
+    return trace[0]["weights"][:m]
 
 
 def test_softmax_uniform_row():
-    out = tt.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-    assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+    out = _softmax_rows([[0.0, 0.0, 0.0]])
+    assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
 
 def test_softmax_large_logits_stable():
-    out = tt.softmax_rows(Tensor([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[0, 0] == pytest.approx(1.0)
-    assert out.data[0, 1] == pytest.approx(0.0, abs=1e-300)
+    # exp(1000) overflows unless the row maximum is subtracted first
+    out = _softmax_rows([[1000.0, 0.0]])
+    assert np.all(np.isfinite(out))
+    assert out[0, 0] == pytest.approx(1.0)
+    assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_softmax_hand_values():
-    out = tt.softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
-    assert np.allclose(out.data, [[0.09003, 0.24473, 0.66524]], atol=1e-5)
+    out = _softmax_rows([[1.0, 2.0, 3.0]])
+    assert np.allclose(out, [[0.09003, 0.24473, 0.66524]], atol=1e-5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(finite_rows)
 def test_softmax_rows_sum_to_one(x):
-    out = tt.softmax_rows(Tensor(x))
-    assert np.all(np.abs(out.data.sum(axis=1) - 1.0) < 1e-9)
-    assert np.all(out.data >= 0)
-
-
-def test_softmax_gradcheck():
-    x = np.random.default_rng(1).standard_normal((3, 4))
-    gradcheck(
-        lambda lv: tt.sum_all(tt.mul(tt.softmax_rows(lv["x"]), lv["w"])),
-        {"x": x, "w": np.random.default_rng(2).standard_normal((3, 4))},
-    )
+    out = _softmax_rows(x)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all(out >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +281,9 @@ def test_structural_ops_gradcheck():
     def build(lv):
         cat = tt.concat([lv["a"], lv["b"]], axis=0)  # 5x4
         sl = tt.slice_axis(cat, 0, 1, 4)  # 3x4
-        tr = tt.transpose(sl)  # 4x3
-        rs = tt.reshape(tr, (3, 4))
-        return tt.sum_all(tt.mul(rs, rs))
+        rs = tt.reshape(sl, (4, 3))
+        mt = tt.mean_over_time(cat)  # 4
+        return tt.add(tt.sum_all(tt.mul(rs, rs)), tt.sum_all(tt.mul(mt, mt)))
 
     gradcheck(build, arrs, rtol=1e-6, atol=1e-8)
 
@@ -295,12 +295,13 @@ def test_elementwise_and_broadcast_gradcheck():
         "y": rng.standard_normal((4, 3)),
         "bias": rng.standard_normal(3),
     }
+    mask = rng.standard_normal((4, 3))
 
     def build(lv):
         s = tt.add(lv["x"], lv["bias"])
-        t = tt.sub(s, lv["y"])
+        t = tt.add(s, tt.scale(lv["y"], -1.0))
         u = tt.scale(tt.mul(t, lv["x"]), 0.5)
-        return tt.sum_all(u)
+        return tt.sum_all(tt.mul_const(u, mask))
 
     gradcheck(build, arrs, rtol=1e-6, atol=1e-8)
 
@@ -318,8 +319,9 @@ def test_log_softmax_gradcheck_and_values():
 
 def test_forward_ops_deterministic():
     x = np.random.default_rng(10).standard_normal((4, 6))
-    a = tt.softmax_rows(Tensor(x)).data
-    b = tt.softmax_rows(Tensor(x.copy())).data
+    a = tt.mhsa_core(Tensor(x), Tensor(x), Tensor(x), 2).data
+    y = x.copy()
+    b = tt.mhsa_core(Tensor(y), Tensor(y), Tensor(y), 2).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -363,6 +365,19 @@ def test_mhsa_core_rows_stochastic_trace():
     for t in trace:
         assert t["attn_len"] == 7
         assert np.all(np.abs(t["weights"].sum(axis=1) - 1.0) < 1e-9)
+
+    # batched input: one entry per (batch, head), batch-major
+    xb = rng.standard_normal((2, 7, 6))
+    batched = []
+    tt.mhsa_core(Tensor(xb), Tensor(xb), Tensor(xb), 3, trace=batched)
+    assert len(batched) == 2 * 3
+    for i in range(2):
+        single = []
+        tt.mhsa_core(Tensor(xb[i]), Tensor(xb[i]), Tensor(xb[i]), 3, trace=single)
+        for h in range(3):
+            assert batched[3 * i + h]["attn_len"] == 7
+            assert np.allclose(batched[3 * i + h]["weights"], single[h]["weights"],
+                               rtol=0, atol=1e-13)
 
 
 def test_mhsa_core_indivisible_heads():

@@ -239,6 +239,14 @@ def test_early_stop_never_fires_before_patience_plus_one():
         assert not early_stop([1.0] * n, patience=7)
 
 
+def test_early_stop_nan_is_never_best():
+    nan = float("nan")
+    assert not early_stop([1.0, nan, 0.5], 1)
+    assert early_stop([0.5, nan, 0.6], 2)
+    assert not early_stop([nan, 1.0], 1)
+    assert early_stop([nan, nan], 2)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -315,6 +323,18 @@ def test_average_checkpoints_permutation_invariant():
     a = average_checkpoints(cks, 2)
     b = average_checkpoints(list(reversed(cks)), 2)
     assert np.array_equal(a.params["w"], b.params["w"])
+
+
+def test_average_checkpoints_nan_loss_ranks_last():
+    nan = float("nan")
+    cks = [_ck(0.5, 1, 1.0), _ck(nan, 2, 100.0), _ck(0.2, 3, 2.0),
+           _ck(0.3, 4, 4.0)]
+    out = average_checkpoints(cks, 2)
+    assert np.array_equal(out.params["w"], np.full(3, 3.0))
+    assert (out.epoch, out.val_loss) == (3, 0.2)
+    both_nan = [_ck(nan, 2, 1.0), _ck(nan, 1, 3.0), _ck(0.9, 3, 5.0)]
+    assert average_checkpoints(both_nan, 2).params["w"][0] == 4.0
+    assert average_checkpoints(list(reversed(both_nan)), 2).params["w"][0] == 4.0
 
 
 def test_average_checkpoints_shape_mismatch():
