@@ -123,7 +123,7 @@ def _load_split_files(data_dir, split):
     split_dir = Path(data_dir) / split
     if not split_dir.is_dir():
         raise ConfigError(f"missing split directory {split_dir}")
-    utts = [D.read_features(p) for p in sorted(split_dir.glob("*.tcmf"))]
+    utts = D.read_feature_files(sorted(split_dir.glob("*.tcmf")))
     if not utts:
         raise ConfigError(f"no feature files in {split_dir}")
     return utts, D.read_protocol(split_dir / "protocol.txt")

@@ -30,7 +30,6 @@ _SCHEMA = {
     "model": {
         "dim", "heads", "blocks", "block_kind", "conv_kernel",
         "ffn_expansion", "dropout", "positional_encoding", "toggles",
-        "pool_include_cls", "mean_tt_include_cls", "ln_eps",
     },
     "train": {
         "lr", "weight_decay", "batch_size", "class_weights", "patience",

@@ -269,17 +269,29 @@ def write_split(utts, out_dir):
     write_protocol([(u.id, u.label) for u in utts], out_dir / "protocol.txt")
 
 
+def read_feature_files(paths):
+    """Utterances in path order; every file must have the first file's F."""
+    utts = []
+    for path in paths:
+        utt = read_features(path)
+        if utts and utt.F != utts[0].F:
+            raise FormatError(
+                f"{path}: feature dim {utt.F} differs from {utts[0].F} "
+                f"in {paths[0]}"
+            )
+        utts.append(utt)
+    return utts
+
+
 def read_split(split_dir):
     split_dir = Path(split_dir)
     entries = read_protocol(split_dir / "protocol.txt")
-    utts = []
-    for ident, label in entries:
-        utt = read_features(split_dir / f"{ident}.tcmf")
+    utts = read_feature_files([split_dir / f"{ident}.tcmf" for ident, _ in entries])
+    for (ident, label), utt in zip(entries, utts):
         if utt.id != ident or utt.label != label:
             raise FormatError(
                 f"{split_dir}: feature file for {ident} disagrees with protocol"
             )
-        utts.append(utt)
     return utts
 
 

@@ -27,7 +27,7 @@ class ScoreFileError(ValueError):
     """Malformed score file line; message carries the line number."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreRecord:
     id: str
     score: float
@@ -72,41 +72,37 @@ def sweep_thresholds(bona, spoof):
     )
 
 
-def error_rates(bona, spoof, threshold):
-    pmiss = float(np.mean(bona < threshold))
-    pfa = float(np.mean(spoof >= threshold))
-    return pmiss, pfa
+def _error_curve(bona_scores, spoof_scores):
+    """(thresholds, Pmiss, Pfa) over the candidate thresholds, ascending.
+    One sort per class; each rate is an exact count divided once."""
+    bona, spoof = _check_scores(bona_scores, spoof_scores)
+    thresholds = sweep_thresholds(bona, spoof)
+    pmiss = np.searchsorted(np.sort(bona), thresholds) / bona.size
+    pfa = (spoof.size - np.searchsorted(np.sort(spoof), thresholds)) / spoof.size
+    return thresholds, pmiss, pfa
 
 
 def compute_eer(bona_scores, spoof_scores):
     """(EER, threshold) at the crossing of the miss / false-alarm steps."""
-    bona, spoof = _check_scores(bona_scores, spoof_scores)
-    best = None
-    for tau in sweep_thresholds(bona, spoof):
-        pmiss, pfa = error_rates(bona, spoof, tau)
-        gap = abs(pmiss - pfa)
-        if best is None or gap < best[0]:  # ties keep the lowest threshold
-            best = (gap, tau, (pmiss + pfa) / 2.0)
-    return best[2], best[1]
+    thresholds, pmiss, pfa = _error_curve(bona_scores, spoof_scores)
+    i = int(np.argmin(np.abs(pmiss - pfa)))  # first minimum: lowest threshold
+    return float(pmiss[i] + pfa[i]) / 2.0, thresholds[i]
 
 
 def compute_min_tdcf(bona_scores, spoof_scores, costs: TdcfCosts):
-    bona, spoof = _check_scores(bona_scores, spoof_scores)
+    _, pmiss, pfa = _error_curve(bona_scores, spoof_scores)
     denom = costs.denominator
     if denom <= 0:
         raise ConfigError("t-DCF normalization denominator must be positive")
-    best = np.inf
-    for tau in sweep_thresholds(bona, spoof):
-        pmiss, pfa = error_rates(bona, spoof, tau)
-        best = min(best, (costs.c0 + costs.c1 * pmiss + costs.c2 * pfa) / denom)
-    return min(best, 1.0)
+    cost = (costs.c0 + costs.c1 * pmiss + costs.c2 * pfa) / denom
+    return min(float(cost.min()), 1.0)
 
 
 def det_points(bona_scores, spoof_scores):
     """(Pmiss, Pfa) per candidate threshold, ascending: Pmiss non-decreasing,
     Pfa non-increasing."""
-    bona, spoof = _check_scores(bona_scores, spoof_scores)
-    return [error_rates(bona, spoof, tau) for tau in sweep_thresholds(bona, spoof)]
+    _, pmiss, pfa = _error_curve(bona_scores, spoof_scores)
+    return list(zip(pmiss.tolist(), pfa.tolist()))
 
 
 # ---------------------------------------------------------------------------

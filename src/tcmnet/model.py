@@ -43,10 +43,6 @@ class ModelConfig:
     dropout: float = 0.1
     positional_encoding: str = "sinusoidal"  # none | sinusoidal
     toggles: TcmToggles = field(default_factory=TcmToggles)
-    # channel pooling includes the CLS row; the mean temporal token does not
-    pool_include_cls: bool = True
-    mean_tt_include_cls: bool = False
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -234,12 +230,10 @@ class Model:
         return tt.affine(cat, self.p(prefix + "attn.wo.weight"), self.p(prefix + "attn.wo.bias"))
 
     def generate_head_tokens(self, seq: TokenSequence, prefix):
-        """Pool each channel segment over time, project d->D, GeLU, embed."""
+        """Pool each channel segment over the CLS and T rows, project d->D,
+        GeLU, embed."""
         c = self.config
-        x = seq.tokens
-        if not c.pool_include_cls and seq.T > 0:
-            x = tt.slice_axis(x, -2, 1, seq.T + 1)
-        pooled = tt.mean_over_time(x)  # (..., D)
+        pooled = tt.mean_over_time(seq.tokens)  # (..., D)
         segments = tt.reshape(pooled, pooled.shape[:-1] + (c.heads, c.head_dim))
         ht = tt.gelu(
             tt.affine(
@@ -276,12 +270,10 @@ class Model:
             mean_ht = tt.mean_over_time(head_out)
             cls_row = tt.add(
                 cls_row, tt.reshape(mean_ht, mean_ht.shape[:-1] + (1, c.dim)))
-        if tg.add_mean_tt_to_cls:
-            tt_src = temporal if c.mean_tt_include_cls else rest
-            if tt_src.shape[-2] > 0:
-                mean_tt = tt.mean_over_time(tt_src)
-                cls_row = tt.add(
-                    cls_row, tt.reshape(mean_tt, mean_tt.shape[:-1] + (1, c.dim)))
+        if tg.add_mean_tt_to_cls and T > 0:  # mean over the T rows only
+            mean_tt = tt.mean_over_time(rest)
+            cls_row = tt.add(
+                cls_row, tt.reshape(mean_tt, mean_tt.shape[:-1] + (1, c.dim)))
         return tt.concat([cls_row, rest], axis=-2)
 
     def tcm_forward(self, seq: TokenSequence, prefix, trace=None):
@@ -294,9 +286,7 @@ class Model:
 
     def _ffn(self, x, prefix, half, drop):
         c = self.config
-        h = tt.layer_norm(
-            x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"), c.ln_eps
-        )
+        h = tt.layer_norm(x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"))
         h = tt.affine(h, self.p(prefix + "lin1.weight"), self.p(prefix + "lin1.bias"))
         h = tt.swish(h) if c.block_kind == "conformer" else tt.gelu(h)
         h = tt.affine(h, self.p(prefix + "lin2.weight"), self.p(prefix + "lin2.bias"))
@@ -306,10 +296,7 @@ class Model:
     def _conv_module(self, x, prefix, drop):
         c = self.config
         h = tt.layer_norm(
-            x,
-            self.p(prefix + "ln_conv.gamma"),
-            self.p(prefix + "ln_conv.beta"),
-            c.ln_eps,
+            x, self.p(prefix + "ln_conv.gamma"), self.p(prefix + "ln_conv.beta")
         )
         h = tt.affine(
             h, self.p(prefix + "conv.pw1.weight"), self.p(prefix + "conv.pw1.bias")
@@ -325,26 +312,20 @@ class Model:
         return tt.add(x, h)
 
     def conformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None):
-        c = self.config
         p = f"block{b}."
         x = self._ffn(seq.tokens, p + "ffn1.", half=True, drop=drop)
-        h = tt.layer_norm(
-            x, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta"), c.ln_eps
-        )
+        h = tt.layer_norm(x, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta"))
         attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
         x = tt.add(x, _dropout(attn.tokens, drop))
         x = self._conv_module(x, p, drop)
         x = self._ffn(x, p + "ffn2.", half=True, drop=drop)
-        x = tt.layer_norm(
-            x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"), c.ln_eps
-        )
+        x = tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
         return TokenSequence(x, seq.T)
 
     def transformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None):
-        c = self.config
         p = f"block{b}."
         h = tt.layer_norm(
-            seq.tokens, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta"), c.ln_eps
+            seq.tokens, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta")
         )
         attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
         x = tt.add(seq.tokens, _dropout(attn.tokens, drop))

@@ -44,11 +44,10 @@ def mhsa_np(x, p, prefix, H):
     ]
 
 
-def head_tokens_np(x, p, prefix, H, include_cls=True, T=None, use_embedding=True):
+def head_tokens_np(x, p, prefix, H, use_embedding=True):
     D = x.shape[1]
     d = D // H
-    pool_src = x if include_cls else x[1 : T + 1]
-    pooled = pool_src.mean(axis=0).reshape(H, d)
+    pooled = x.mean(axis=0).reshape(H, d)  # CLS and T rows
     ht = gelu_np(pooled @ p[prefix + "tcm.head_proj.weight"] + p[prefix + "tcm.head_proj.bias"])
     if use_embedding:
         ht = ht + p[prefix + "tcm.head_token_embedding"]
@@ -76,7 +75,6 @@ def enrich_cls_np(temporal, head_out, add_ht=True, add_tt=True):
 def tcm_forward_np(x, p, prefix, H, toggles):
     if not toggles.use_tcm:
         return mhsa_np(x, p, prefix, H)
-    T = x.shape[0] - 1
     ht = head_tokens_np(x, p, prefix, H, use_embedding=toggles.ht_embedding)
     temporal, head_out = tcm_attention_np(
         x, ht, p, prefix, H, ht_in_mhsa=toggles.ht_in_mhsa

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
+from tcmnet.data import read_features, write_features
 from tcmnet.tensor import ConfigError
 from tcmnet.train import load_checkpoint
 
@@ -173,6 +175,20 @@ def test_eval_missing_protocol_entry(trained, tmp_path):
     code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
                  "--data-dir", str(data_dir), "--out-dir", str(out)])
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_eval_rejects_mixed_feature_dims(trained, tmp_path, capsys, mode):
+    _, data_dir, run_dir = trained
+    second = sorted((data_dir / "eval").glob("*.tcmf"))[1]
+    utt = read_features(second)
+    write_features(replace(utt, features=utt.features[:, :5]), second)
+    code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "e"),
+                 "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{second}: feature dim 5 differs from 6" in err
 
 
 def test_params_command(tiny_config, capsys):

@@ -202,6 +202,16 @@ def test_split_directory_roundtrip(tmp_path):
         assert np.allclose(u.features, v.features, atol=1e-6)
 
 
+def test_read_split_rejects_mixed_feature_dims(tmp_path):
+    rng = np.random.default_rng(4)
+    utts = [Utterance(f"u{i}", rng.standard_normal((4, F)), "spoof")
+            for i, F in enumerate([6, 5, 6])]
+    write_split(utts, tmp_path / "eval")
+    with pytest.raises(FormatError, match=r"u1\.tcmf: feature dim 5 differs from 6 in "
+                       r".*u0\.tcmf"):
+        read_split(tmp_path / "eval")
+
+
 # ---------------------------------------------------------------------------
 # fix_length and batching
 

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,9 @@ from tcmnet.metrics import (
 from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import ConfigError, Tensor
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import reference  # noqa: E402
+
 
 def brute_force_min_tdcf(bona, spoof, costs):
     """Exhaustive enumeration over every candidate threshold."""
@@ -32,6 +38,12 @@ def brute_force_min_tdcf(bona, spoof, costs):
         pfa = np.mean(spoof >= tau)
         best = min(best, (costs.c0 + costs.c1 * pmiss + costs.c2 * pfa) / denom)
     return min(best, 1.0)
+
+
+def brute_force_det(bona, spoof):
+    bona, spoof = np.asarray(bona), np.asarray(spoof)
+    return [(float(np.mean(bona < tau)), float(np.mean(spoof >= tau)))
+            for tau in sweep_thresholds(bona, spoof)]
 
 
 def brute_force_eer(bona, spoof):
@@ -179,6 +191,33 @@ def test_det_points_monotone_on_random_scores():
     assert pmiss == sorted(pmiss)
     assert pfa == sorted(pfa, reverse=True)
     assert pts[0][1] == 1.0 and pts[-1][0] == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=30),
+    st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=30),
+    st.sampled_from([1.0, 0.25, 0.01]),
+)
+def test_det_points_match_bruteforce(bona, spoof, grid):
+    # rounding to a coarse grid makes ties within and across classes
+    bona = (np.round(np.asarray(bona) / grid) * grid).tolist()
+    spoof = (np.round(np.asarray(spoof) / grid) * grid).tolist()
+    assert det_points(bona, spoof) == brute_force_det(bona, spoof)
+
+
+def test_metrics_tie_heavy_large_match_reference():
+    rng = np.random.default_rng(5)
+    bona = np.round(rng.standard_normal(9000) + 1.0, 2)
+    spoof = np.round(rng.standard_normal(13000), 2)
+    costs = TdcfCosts(0.05, 1.0, 10.0)
+    eer, threshold = compute_eer(bona, spoof)
+    ref_eer, ref_threshold = reference.eer(bona, spoof)
+    assert (eer, threshold) == (ref_eer, ref_threshold)
+    assert eer == brute_force_eer(bona, spoof)
+    assert compute_min_tdcf(bona, spoof, costs) == reference.min_tdcf(
+        bona, spoof, costs.c0, costs.c1, costs.c2)
+    assert det_points(bona, spoof) == reference.det_points(bona, spoof)
 
 
 # ---------------------------------------------------------------------------
