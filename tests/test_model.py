@@ -5,6 +5,7 @@ import oracles as oc
 from helpers import assert_grads_close, finite_diff
 from tcmnet import tensor as tt
 from tcmnet.model import (
+    DropoutCtx,
     Model,
     ModelConfig,
     TcmToggles,
@@ -404,6 +405,29 @@ def test_end_to_end_gradients_match_finite_differences():
 
     numeric = finite_diff(f, arrays)
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+def test_second_backward_doubles_every_parameter_gradient():
+    # Ops hand freshly computed gradient arrays to their inputs without a
+    # copy. If one of those arrays were shared with another gradient or with
+    # forward data, refilling the tape's gradients for a second backward
+    # would change what the parameters receive.
+    cfg = ModelConfig(feature_dim=6, dim=8, heads=2, blocks=2, conv_kernel=3,
+                      dropout=0.2)
+    m = Model(cfg, seed=34)
+    feats = np.random.default_rng(34).standard_normal((3, 7, 6))
+    tt.reset_tape()
+    m.zero_grads()
+    loss = tt.sum_all(tt.mul(m.forward_batch(feats, drop=DropoutCtx(0.2, 34)),
+                             Tensor([[1.0, -2.0]])))
+    tt.backward(loss)
+    once = {k: t.grad.copy() for k, t in m.params.items()}
+    for node, _ in tt.active_tape().ops:
+        if node.grad is not None:
+            node.grad[...] = 0.0
+    tt.backward(loss)
+    for k, t in m.params.items():
+        assert np.array_equal(t.grad, 2.0 * once[k]), k
 
 
 def test_forward_batch_matches_per_utterance():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,18 @@ def test_activation_gradchecks():
     for op in (tt.gelu, tt.swish, tt.sigmoid):
         gradcheck(lambda lv, op=op: tt.sum_all(tt.mul(op(lv["x"]), lv["x"])),
                   {"x": x.copy()})
+
+
+@pytest.mark.parametrize("op", [tt.sigmoid, tt.swish])
+def test_logistic_far_negative_is_zero_without_warning(op):
+    # exp(1000) overflows to inf, so the logistic is exactly 0 there
+    x = Tensor([-1000.0], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = op(x)
+        tt.backward(tt.sum_all(y))
+    assert y.data[0] == 0.0
+    assert x.grad[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +392,42 @@ def test_mhsa_core_rows_stochastic_trace():
             assert batched[3 * i + h]["attn_len"] == 7
             assert np.allclose(batched[3 * i + h]["weights"], single[h]["weights"],
                                rtol=0, atol=1e-13)
+
+
+def test_mhsa_core_blocks_match_per_utterance(monkeypatch):
+    B, S, D, H = 5, 7, 6, 2
+    # three (utterance, head) pairs per block: blocks of 3, 3, 3 and 1
+    monkeypatch.setattr(tt, "_ATTN_BLOCK_BYTES", 3 * 8 * S * S + 8)
+    rng = np.random.default_rng(17)
+    q, k, v, m = (rng.standard_normal((B, S, D)) for _ in range(4))
+
+    def run(qd, kd, vd, md):
+        tt.reset_tape()
+        leaves = [Tensor(a, requires_grad=True) for a in (qd, kd, vd)]
+        trace = []
+        out = tt.mhsa_core(*leaves, H, trace=trace)
+        tt.backward(tt.sum_all(tt.mul(out, Tensor(md))))
+        with tt.no_grad():
+            plain_trace = []
+            plain = tt.mhsa_core(*(Tensor(a) for a in (qd, kd, vd)), H,
+                                 trace=plain_trace)
+            untraced = tt.mhsa_core(*(Tensor(a) for a in (qd, kd, vd)), H)
+        assert plain.data.tobytes() == untraced.data.tobytes() == out.data.tobytes()
+        assert [w["weights"].tobytes() for w in plain_trace] == \
+            [w["weights"].tobytes() for w in trace]
+        return out.data, trace, [t.grad for t in leaves]
+
+    out, trace, grads = run(q, k, v, m)
+    assert len(trace) == B * H
+    for i in range(B):
+        out_i, trace_i, grads_i = run(q[i], k[i], v[i], m[i])
+        assert out[i].tobytes() == out_i.tobytes()
+        for h in range(H):
+            assert trace[i * H + h]["attn_len"] == trace_i[h]["attn_len"] == S
+            assert trace[i * H + h]["weights"].tobytes() == \
+                trace_i[h]["weights"].tobytes()
+        for g, g_i in zip(grads, grads_i):
+            assert g[i].tobytes() == g_i.tobytes()
 
 
 def test_mhsa_core_indivisible_heads():

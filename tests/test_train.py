@@ -1,10 +1,12 @@
+import platform
+import resource
 import struct
 
 import numpy as np
 import pytest
 
 from tcmnet import tensor as tt
-from tcmnet.data import CorpusSpec, generate_corpus
+from tcmnet.data import CorpusSpec, Utterance, generate_corpus
 from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import Tensor
 from tcmnet.train import (
@@ -154,6 +156,26 @@ def test_train_epoch_lr_zero_equivalent():
     train_epoch(model, corpus["train"], cfg, 1, AdamState(), [1.0, 1.0])
     for k, t in model.params.items():
         assert np.allclose(t.data, before[k], atol=1e-20)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap reuse is set through glibc mallopt")
+def test_training_steps_reuse_freed_heap_pages():
+    # Freeing the tape must not hand heap pages back to the kernel, or
+    # every step faults its whole working set in again.
+    rng = np.random.default_rng(5)
+    utts = [Utterance(f"u{i}", rng.standard_normal((100, 64)),
+                      ("bonafide", "spoof")[i % 2]) for i in range(20)]
+    model = Model(ModelConfig(feature_dim=64, dim=32, heads=4, blocks=2,
+                              dropout=0.1), seed=5)
+    cfg = TrainConfig(batch_size=20, target_T=100)
+    state, weights = AdamState(), [1.0, 1.0]
+    train_epoch(model, utts, cfg, 0, state, weights)  # warm-up step
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for epoch in range(1, 4):
+        train_epoch(model, utts, cfg, epoch, state, weights)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults in 3 training steps"
 
 
 def test_training_bit_reproducible():
