@@ -292,8 +292,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, D.FormatError, TR.CheckpointError, M.ScoreFileError,
-            OSError) as exc:
+    except (ConfigError, D.FormatError, TR.CheckpointError, TR.NonFiniteError,
+            M.ScoreFileError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
 

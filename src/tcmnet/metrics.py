@@ -153,7 +153,7 @@ def _score_fixed_batched(model, utts, target_T, chunk=32):
         part = utts[lo : lo + chunk]
         feats = np.stack([fix_length(u.features, target_T) for u in part])
         with tt.no_grad():
-            logits = model.forward_batch(feats).data
+            logits = model.forward_sharded(feats).data
         records.extend(
             ScoreRecord(u.id, float(lg[0] - lg[1])) for u, lg in zip(part, logits)
         )

@@ -14,6 +14,7 @@ pre-norm Transformer encoder block.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,6 +97,8 @@ class DropoutCtx:
         self.p = float(p)
         self.key = (int(seed), int(epoch), int(batch))
         self.counter = 0
+        self.drawn = []  # full-batch masks shared by row views, in draw order
+        self.lock = threading.Lock()
 
     def mask(self, shape):
         self.counter += 1
@@ -104,6 +107,30 @@ class DropoutCtx:
         )
         keep = rng.random(shape) >= self.p
         return keep / (1.0 - self.p)
+
+    def rows(self, lo, hi, batch_size):
+        """Masks for rows lo:hi of a batch of `batch_size`, for one shard."""
+        return DropoutRows(self, lo, hi, batch_size)
+
+
+class DropoutRows:
+    """A shard's view of a DropoutCtx: its i-th mask is rows lo:hi of the
+    context's i-th mask, drawn once at full-batch shape by whichever shard
+    needs it first, so every shard slices the one-thread mask sequence."""
+
+    def __init__(self, ctx, lo, hi, batch_size):
+        self.ctx, self.p = ctx, ctx.p
+        self.lo, self.hi, self.batch_size = lo, hi, batch_size
+        self.counter = 0
+
+    def mask(self, shape):
+        ctx = self.ctx
+        with ctx.lock:
+            if self.counter == len(ctx.drawn):
+                ctx.drawn.append(ctx.mask((self.batch_size,) + tuple(shape[1:])))
+            full = ctx.drawn[self.counter]
+        self.counter += 1
+        return full[self.lo : self.hi]
 
 
 def _dropout(x, ctx):
@@ -350,6 +377,18 @@ class Model:
         cls_row = tt.slice_axis(seq.tokens, -2, 0, 1)
         out = tt.affine(cls_row, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
+
+    def forward_sharded(self, features, drop=None):
+        """forward_batch over row shards on worker threads (see
+        tensor.shard_rows): the same (B, 2) logits and gradients, bit for bit."""
+        feats = np.asarray(features)
+        B = len(feats)
+
+        def rows(lo, hi):
+            shard_drop = None if drop is None else drop.rows(lo, hi, B)
+            return self.forward_batch(feats[lo:hi], drop=shard_drop)
+
+        return tt.shard_rows(rows, B)
 
     def forward(self, features, drop=None, trace=None):
         """T x F features -> (score, logits), as a batch of one.

@@ -7,15 +7,24 @@ grad-requiring input appends a backward closure to the active tape.
 Gradients accumulate: repeated backward calls without ``zero_grad`` /
 ``reset_tape`` add up. Training code resets the tape once per step.
 
-Importing this module sets two process-wide glibc malloc thresholds (see
+The tape and the grad flag are per thread. ``shard_rows`` splits a batch
+into contiguous row shards and runs each on a worker thread with its own
+tape; gradients that sum across the batch are deferred and reduced once
+over the whole batch, so results match the one-thread path bit for bit.
+
+Importing this module sets process-wide glibc malloc options (see
 ``_keep_freed_heap_pages``): a training step frees its whole tape at once,
 and with glibc's defaults the next step would fault the same pages in again.
+It also pins numpy's OpenBLAS to one thread (``_pin_blas_to_one_thread``).
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +34,7 @@ from scipy.special import erf
 # glibc <malloc.h> mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # Blocks up to 32 MB (the largest glibc accepts) come from the heap, not
 # from mmap, so freeing one does not hand its pages back to the kernel.
 _MMAP_THRESHOLD_BYTES = 32 << 20
@@ -38,7 +48,9 @@ def _keep_freed_heap_pages():
 
     Both thresholds are set: fixing only the trim threshold also turns off
     glibc's dynamic mmap threshold, and large arrays then fault more, not
-    less. A no-op where the C library has no ``mallopt`` (not glibc).
+    less. One arena serves every thread, so shard workers reuse the pages
+    the main thread freed instead of growing arenas of their own. A no-op
+    where the C library has no ``mallopt`` (not glibc).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -48,9 +60,31 @@ def _keep_freed_heap_pages():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap_pages()
+
+
+def _pin_blas_to_one_thread():
+    """Row shards already use every core, and BLAS threads on top of them
+    only contend. Pinned at import, not at the first sharded call: some
+    products (q k^T at S=255, d=8) differ in the last bit between one and
+    two OpenBLAS threads, so a B=1 score computed before the first
+    sharded call would not match the same score computed after it. A
+    no-op where numpy does not bundle scipy-openblas."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__) \
+            .scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+
+
+_pin_blas_to_one_thread()
 
 
 class ShapeError(ValueError):
@@ -113,28 +147,42 @@ class ComputationTape:
         return len(self.ops)
 
 
-_TAPE = ComputationTape()
-_grad_enabled = True
+_TAPE = ComputationTape()  # the main thread's tape
+
+
+class _ThreadState(threading.local):
+    """Per-thread autodiff state: the tape ops record to, the grad flag,
+    and, in a shard's backward, the list its batch reductions go to."""
+
+    def __init__(self):
+        main = threading.current_thread() is threading.main_thread()
+        self.tape = _TAPE if main else ComputationTape()
+        self.grad_enabled = True
+        self.pending = None
+        self.in_shard = False
+        self.scratch = np.empty(0)  # shard workers' concatenation buffer
+
+
+_state = _ThreadState()
 
 
 def active_tape():
-    return _TAPE
+    return _state.tape
 
 
 def reset_tape():
-    _TAPE.clear()
+    _state.tape.clear()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording (evaluation / oracle passes)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording in this thread (evaluation / oracle passes)."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 def _wrap(x):
@@ -142,7 +190,7 @@ def _wrap(x):
 
 
 def _needs_grad(*inputs):
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return _state.grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def _make(data, *inputs):
@@ -151,7 +199,7 @@ def _make(data, *inputs):
 
 def _record(out, fn):
     if out.requires_grad:
-        _TAPE.append(out, fn)
+        _state.tape.append(out, fn)
 
 
 def _unbroadcast(g, shape):
@@ -164,14 +212,39 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _batch_reduce(fn, *rows):
+    """Accumulate a gradient that sums over the batch: `fn(*rows)` returns
+    (tensor, gradient) pairs, and every array in `rows` has the batch on
+    its leading axis. In a shard's backward the call is recorded instead;
+    `shard_rows` runs it once over the rows of every shard."""
+    if _state.pending is None:
+        for t, g in fn(*rows):
+            t.accum_grad(g, fresh=True)
+    else:
+        _state.pending.append((fn, rows))
+
+
+def _accum_unbroadcast(t, g, fresh=False):
+    """Add g, summed back to t's shape after numpy broadcasting, to t.grad."""
+    shape = t.data.shape
+    if g.ndim > len(shape):  # t has no batch axis: the sum crosses the batch
+        _batch_reduce(lambda g: ((t, _unbroadcast(g, shape)),), g)
+    else:
+        t.accum_grad(_unbroadcast(g, shape), fresh=fresh)
+
+
+def _replay(tape):
+    for node, fn in reversed(tape.ops):
+        if node.grad is not None:
+            fn(node.grad)
+
+
 def backward(out):
     """Populate .grad of every reachable requires_grad leaf of a scalar."""
     if out.size != 1:
         raise ShapeError(f"backward requires a scalar output, got shape {out.shape}")
     out.accum_grad(np.ones_like(out.data), fresh=True)
-    for node, fn in reversed(_TAPE.ops):
-        if node.grad is not None:
-            fn(node.grad)
+    _replay(_state.tape)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +257,9 @@ def add(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a.accum_grad(_unbroadcast(g, a.data.shape))
+            _accum_unbroadcast(a, g)
         if b.requires_grad:
-            b.accum_grad(_unbroadcast(g, b.data.shape))
+            _accum_unbroadcast(b, g)
 
     _record(out, bwd)
     return out
@@ -198,9 +271,9 @@ def mul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a.accum_grad(_unbroadcast(g * b.data, a.data.shape), fresh=True)
+            _accum_unbroadcast(a, g * b.data, fresh=True)
         if b.requires_grad:
-            b.accum_grad(_unbroadcast(g * a.data, b.data.shape), fresh=True)
+            _accum_unbroadcast(b, g * a.data, fresh=True)
 
     _record(out, bwd)
     return out
@@ -302,12 +375,16 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     y = gamma.data * xhat + beta.data
     out = _make(y.reshape(x.data.shape), x, gamma, beta)
 
+    def reduce(gg, xhat):
+        if gamma.requires_grad:
+            yield gamma, (gg * xhat).sum(axis=0)
+        if beta.requires_grad:
+            yield beta, gg.sum(axis=0)
+
     def bwd(g):
         gg = g.reshape(xd.shape)
-        if gamma.requires_grad:
-            gamma.accum_grad((gg * xhat).sum(axis=0), fresh=True)
-        if beta.requires_grad:
-            beta.accum_grad(gg.sum(axis=0), fresh=True)
+        if gamma.requires_grad or beta.requires_grad:
+            _batch_reduce(reduce, gg, xhat)
         if x.requires_grad:
             dxhat = gg * gamma.data
             dx = inv * (
@@ -390,6 +467,13 @@ def depthwise_conv1d(x, kernel):
         y += xp[..., k : k + T, :] * kernel.data[k]
     out = _make(y, x, kernel)
 
+    def reduce(g, xp):
+        axes = tuple(range(g.ndim - 1))
+        dk = np.empty((K, D))
+        for k in range(K):
+            dk[k] = (g * xp[..., k : k + T, :]).sum(axis=axes)
+        return ((kernel, dk),)
+
     def bwd(g):
         if x.requires_grad:
             gp = np.zeros(lead + (T + K - 1, D))
@@ -397,11 +481,7 @@ def depthwise_conv1d(x, kernel):
                 gp[..., k : k + T, :] += g * kernel.data[k]
             x.accum_grad(gp[..., pad : pad + T, :], fresh=True)
         if kernel.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            dk = np.empty((K, D))
-            for k in range(K):
-                dk[k] = (g * xp[..., k : k + T, :]).sum(axis=axes)
-            kernel.accum_grad(dk, fresh=True)
+            _batch_reduce(reduce, g, xp)
 
     _record(out, bwd)
     return out
@@ -443,13 +523,17 @@ def affine(x, w, b):
     din, dout = w.shape
     out = _make(x.data @ w.data + b.data, x, w, b)
 
+    def reduce(xd, g):
+        if w.requires_grad:
+            yield w, xd.reshape(-1, din).T @ g.reshape(-1, dout)
+        if b.requires_grad:
+            yield b, g.reshape(-1, dout).sum(axis=0)
+
     def bwd(g):
         if x.requires_grad:
             x.accum_grad(g @ w.data.T, fresh=True)
-        if w.requires_grad:
-            w.accum_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout), fresh=True)
-        if b.requires_grad:
-            b.accum_grad(g.reshape(-1, dout).sum(axis=0), fresh=True)
+        if w.requires_grad or b.requires_grad:
+            _batch_reduce(reduce, x.data, g)
 
     _record(out, bwd)
     return out
@@ -460,7 +544,7 @@ def expand(a, shape):
     out = _make(np.broadcast_to(a.data, shape).copy(), a)
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g, a.data.shape))
+        _accum_unbroadcast(a, g)
 
     _record(out, bwd)
     return out
@@ -535,6 +619,136 @@ def mhsa_core(q, k, v, heads, trace=None):
         for t, dt in ((q, dq3), (k, dk3), (v, dv3)):
             if t.requires_grad:
                 t.accum_grad(from_head(dt), fresh=True)
+
+    _record(out, bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# row shards
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+class _Workers:
+    """Thread pool for shards, started on first use and grown on demand."""
+
+    def __init__(self):
+        self.pool, self.size = None, 0
+        self.lock = threading.Lock()
+
+    def get(self, n):
+        with self.lock:
+            if self.size < n:
+                if self.pool is not None:
+                    self.pool.shutdown(wait=False)
+                self.pool = ThreadPoolExecutor(n, thread_name_prefix="tcmnet-shard")
+                self.size = n
+            return self.pool
+
+
+_WORKERS = _Workers()
+
+
+def _gather(futures):
+    """Results of every future, in order; the first error is raised only
+    after every future has finished."""
+    errors = [f.exception() for f in futures]
+    for err in errors:
+        if err is not None:
+            raise err
+    return [f.result() for f in futures]
+
+
+class _Shard:
+    __slots__ = ("lo", "hi", "tape", "pending", "out")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self.tape = ComputationTape()
+        self.pending = None
+        self.out = None
+
+
+def _shard_forward(shard, fn, grad):
+    st = _state
+    saved = st.tape, st.grad_enabled
+    st.tape, st.grad_enabled, st.in_shard = shard.tape, grad, True
+    try:
+        shard.out = fn(shard.lo, shard.hi)
+    finally:
+        st.tape, st.grad_enabled = saved
+        st.in_shard = False
+
+
+def _shard_backward(shard, g):
+    st = _state
+    shard.pending = st.pending = []
+    try:
+        shard.out.accum_grad(g)
+        _replay(shard.tape)
+    finally:
+        st.pending = None
+
+
+def _reduce_rows(entry):
+    """One deferred batch reduction over the rows of every shard. Each
+    operand's rows are concatenated, in shard order, into this worker's
+    scratch buffer: fresh arrays here, with the whole step's graph alive,
+    would land above the heap's high-water mark and fault new pages."""
+    fn = entry[0][0]
+    operands = list(zip(*(rows for _, rows in entry)))
+    shapes = [(sum(len(p) for p in parts),) + parts[0].shape[1:] for parts in operands]
+    sizes = [math.prod(shape) for shape in shapes]
+    if _state.scratch.size < sum(sizes):
+        _state.scratch = np.empty(sum(sizes))
+    cats, off = [], 0
+    for parts, shape, size in zip(operands, shapes, sizes):
+        cats.append(np.concatenate(parts, out=_state.scratch[off : off + size].reshape(shape)))
+        off += size
+    return list(fn(*cats))
+
+
+def shard_rows(fn, rows):
+    """fn(lo, hi) -> Tensor whose leading axis holds rows lo:hi of a batch.
+
+    The batch is cut into contiguous row shards, one per usable CPU, and
+    each shard's fn, and later its backward, runs on a worker thread with
+    its own tape. Returns the shard results concatenated along axis 0: one
+    node on the caller's tape, whose backward hands each shard its rows of
+    the gradient, then runs every deferred batch reduction once over the
+    whole batch, in tape order, so gradients equal the one-thread ones bit
+    for bit. Only that node holds the shards' tapes, so resetting the
+    caller's tape frees them. A batch of one, or a call from inside a
+    shard, runs fn(0, rows) on the calling thread.
+    """
+    n = min(_usable_cpus(), rows)
+    if n < 2 or _state.in_shard:
+        return fn(0, rows)
+    bounds = [rows * i // n for i in range(n + 1)]
+    shards = [_Shard(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    pool = _WORKERS.get(n)
+    grad = _state.grad_enabled
+    _gather([pool.submit(_shard_forward, s, fn, grad) for s in shards])
+    outs = [s.out for s in shards]
+    out = _make(np.concatenate([o.data for o in outs]), *outs)
+    if not out.requires_grad:
+        return out
+
+    def bwd(g):
+        pool = _WORKERS.get(n)
+        _gather([pool.submit(_shard_backward, s, g[s.lo : s.hi]) for s in shards])
+        if len({len(s.pending) for s in shards}) != 1:
+            raise ShapeError("shards recorded different batch reductions")
+        entries = zip(*(s.pending for s in shards))
+        for pairs in _gather([pool.submit(_reduce_rows, e) for e in entries]):
+            for t, tg in pairs:
+                t.accum_grad(tg, fresh=True)
 
     _record(out, bwd)
     return out

@@ -9,6 +9,7 @@ dropout are keyed by the config seed, so reruns are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +25,10 @@ from .tensor import ConfigError, Tensor
 
 class CheckpointError(ValueError):
     """Corrupt checkpoint file or incompatible parameter inventory."""
+
+
+class NonFiniteError(ValueError):
+    """A training loss or gradient is NaN or infinite."""
 
 
 @dataclass
@@ -106,12 +111,23 @@ def adam_step(params, state: AdamState, lr, weight_decay=0.0,
 
 def batch_logits(model, dense_features, drop=None):
     """(B, 2) logits for a list of same-length feature matrices."""
-    return model.forward_batch(np.stack(dense_features), drop=drop)
+    return model.forward_sharded(np.stack(dense_features), drop=drop)
+
+
+def _check_finite(loss, params, epoch, batch):
+    where = f"at epoch {epoch}, batch {batch}"
+    if not np.isfinite(loss.data):
+        raise NonFiniteError(f"training loss is {loss.item()} {where}")
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NonFiniteError(f"non-finite gradient for {name} {where}")
 
 
 def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
                 state: AdamState, class_weights):
-    """One pass over the shuffled corpus; returns mean weighted CE loss."""
+    """One pass over the shuffled corpus; returns mean weighted CE loss.
+    A non-finite loss or gradient raises NonFiniteError before the update,
+    naming the epoch and the batch (counted from 1)."""
     total, count = 0.0, 0
     for bi, batch in enumerate(
         batch_iter(
@@ -131,10 +147,13 @@ def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
         labels = [LABEL_INDEX[u.label] for u in batch.utterances]
         loss = weighted_cross_entropy(logits, labels, class_weights)
         tt.backward(loss)
+        # free the graph before Adam and the next batch allocate, so their
+        # arrays do not sit between the next step's activations
+        tt.reset_tape()
+        _check_finite(loss, model.params, epoch, bi + 1)
         adam_step(model.params, state, config.lr, config.weight_decay)
         total += loss.item() * len(labels)
         count += len(labels)
-    tt.reset_tape()
     return total / count
 
 
@@ -206,40 +225,57 @@ def save_checkpoint(ckpt: Checkpoint, path):
     os.replace(tmp, path)
 
 
+def _take(buf, off, n, what):
+    """buf[off:off + n], or a CheckpointError naming `what` and the offset."""
+    if off + n > len(buf):
+        raise CheckpointError(
+            f"truncated checkpoint: need {n} bytes for {what} at offset {off}, "
+            f"have {len(buf) - off}"
+        )
+    return buf[off : off + n]
+
+
+def _unpack(fmt, buf, off, what):
+    return struct.unpack(fmt, _take(buf, off, struct.calcsize(fmt), what))
+
+
+def _text(buf, off, n, what):
+    try:
+        return _take(buf, off, n, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} at offset {off} is not UTF-8: {exc}") from exc
+
+
 def load_checkpoint(path) -> Checkpoint:
     buf = Path(path).read_bytes()
-    if buf[:4] != _MAGIC:
-        raise CheckpointError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
-    off = 4
+    magic = _take(buf, 0, 4, "magic")
+    if magic != _MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    version, count = _unpack("<II", buf, 4, "version and tensor count")
+    if version != _VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    off = 12
+    params = {}
+    for i in range(count):
+        (name_len,) = _unpack("<H", buf, off, f"name length of tensor {i}")
+        name = _text(buf, off + 2, name_len, f"name of tensor {i}")
+        off += 2 + name_len
+        (rank,) = _unpack("<B", buf, off, f"rank of {name!r}")
+        dims = _unpack(f"<{rank}I", buf, off + 1, f"shape of {name!r}")
+        off += 1 + 4 * rank
+        n = math.prod(dims)
+        values = _take(buf, off, 8 * n, f"values of {name!r}")
+        params[name] = np.frombuffer(values, dtype="<f8").reshape(dims).astype(np.float64)
+        off += 8 * n
+    (json_len,) = _unpack("<I", buf, off, "config echo length")
     try:
-        version, count = struct.unpack_from("<II", buf, off)
-        off += 8
-        if version != _VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", buf, off)
-            off += 2
-            name = buf[off : off + name_len].decode("utf-8")
-            off += name_len
-            rank = buf[off]
-            off += 1
-            dims = struct.unpack_from(f"<{rank}I", buf, off) if rank else ()
-            off += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(dims)
-            off += 8 * n
-            params[name] = arr.astype(np.float64)
-        (json_len,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        echo = json.loads(buf[off : off + json_len].decode("utf-8"))
-        off += json_len
-        (val_loss,) = struct.unpack_from("<d", buf, off)
-        off += 8
-        (epoch,) = struct.unpack_from("<I", buf, off)
-        off += 4
-    except struct.error as exc:
-        raise CheckpointError(f"truncated checkpoint at offset {off}: {exc}") from exc
+        echo = json.loads(_text(buf, off + 4, json_len, "config echo"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"config echo at offset {off + 4} is not JSON: {exc}") from exc
+    off += 4 + json_len
+    (val_loss,) = _unpack("<d", buf, off, "val_loss")
+    (epoch,) = _unpack("<I", buf, off + 8, "epoch")
+    off += 12
     if off != len(buf):
         raise CheckpointError(f"trailing bytes after offset {off}")
     return Checkpoint(params=params, config_echo=echo, epoch=epoch, val_loss=val_loss)

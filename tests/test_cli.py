@@ -191,6 +191,20 @@ def test_eval_rejects_mixed_feature_dims(trained, tmp_path, capsys, mode):
     assert f"{second}: feature dim 5 differs from 6" in err
 
 
+def test_train_reports_non_finite_loss(tiny_config, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir",
+                 str(data_dir)]) == 0
+    first = sorted((data_dir / "train").glob("*.tcmf"))[0]
+    utt = read_features(first)
+    utt.features[0, 0] = float("nan")
+    write_features(utt, first)
+    code = main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    assert "error: training loss is nan at epoch 1, batch" in capsys.readouterr().err
+
+
 def test_params_command(tiny_config, capsys):
     assert main(["params", "--config", str(tiny_config),
                  "--set", "model.dim=144", "--set", "model.heads=4",

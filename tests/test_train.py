@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from tcmnet import tensor as tt
-from tcmnet.data import CorpusSpec, Utterance, generate_corpus
+from tcmnet.data import CorpusSpec, Utterance, batch_iter, generate_corpus
 from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import Tensor
 from tcmnet.train import (
     AdamState,
     Checkpoint,
     CheckpointError,
+    NonFiniteError,
     TrainConfig,
+    _check_finite,
     adam_step,
     average_checkpoints,
     checkpoint_from_model,
@@ -178,6 +180,29 @@ def test_training_steps_reuse_freed_heap_pages():
     assert faults < 1000, f"{faults} minor page faults in 3 training steps"
 
 
+def test_non_finite_loss_names_epoch_and_batch():
+    utts = tiny_corpus()["train"]
+    utts[5].features[:, 2] = np.nan
+    cfg = tiny_train_config()
+    batches = batch_iter(utts, cfg.batch_size, mode="fixed", target_T=cfg.target_T,
+                         seed=[cfg.seed, 2])
+    batch = next(i for i, b in enumerate(batches, start=1)
+                 if utts[5].id in [u.id for u in b.utterances])
+    model = tiny_model()
+    with pytest.raises(NonFiniteError, match=f"loss is nan at epoch 2, batch {batch}$"):
+        train_epoch(model, utts, cfg, 2, AdamState(), [1.0, 1.0])
+    assert all(np.isfinite(t.data).all() for t in model.params.values())
+
+
+def test_non_finite_gradient_names_parameter_epoch_and_batch():
+    params = {"w": Tensor(np.ones(2), requires_grad=True),
+              "b": Tensor(np.ones(2), requires_grad=True)}
+    params["w"].grad = np.array([0.0, 1.0])
+    params["b"].grad = np.array([np.inf, 1.0])
+    with pytest.raises(NonFiniteError, match="gradient for b at epoch 3, batch 7$"):
+        _check_finite(Tensor(0.5), params, 3, 7)
+
+
 def test_training_bit_reproducible():
     corpus = tiny_corpus()
     results = []
@@ -317,6 +342,33 @@ def test_checkpoint_hand_built_single_parameter(tmp_path):
     ck = load_checkpoint(path)
     assert ck.params["w"].tolist() == [1.5, -2.0]
     assert ck.val_loss == 0.125 and ck.epoch == 4 and ck.config_echo == {}
+
+
+def test_checkpoint_truncated_at_every_byte_names_field_and_offset(tmp_path):
+    ck = Checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
+                    {"train": {"seed": 9}}, epoch=2, val_loss=0.25)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ck, path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(CheckpointError, match=r"truncated checkpoint: need \d+ "
+                           r"bytes for .+ at offset \d+, have \d+"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_corrupt_name_and_echo_name_offset(tmp_path):
+    ck = Checkpoint({"w": np.ones(2)}, {"a": 1}, epoch=1, val_loss=0.5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ck, path)
+    blob = path.read_bytes()
+    name_at, echo_at = blob.index(b"w"), blob.index(b'{"a"')
+    path.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
+    with pytest.raises(CheckpointError, match=f"name of tensor 0 at offset {name_at}"):
+        load_checkpoint(path)
+    path.write_bytes(blob[:echo_at] + b"[" + blob[echo_at + 1:])
+    with pytest.raises(CheckpointError, match=f"config echo at offset {echo_at}"):
+        load_checkpoint(path)
 
 
 def _ck(val_loss, epoch, value):
