@@ -14,10 +14,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data as D
+from . import experiments as E
 from . import metrics as M
 from . import train as TR
 from .config import RunConfig
-from .model import Model, param_count, tcm_param_delta, with_toggles
+from .model import Model, param_count, tcm_param_delta
 from .tensor import ConfigError
 
 
@@ -27,18 +28,6 @@ def _say(msg):
 
 def _load_config(args) -> RunConfig:
     return RunConfig.load(args.config, overrides=args.set or [])
-
-
-# Table-style ablation variants: name -> toggle overrides
-ABLATION_VARIANTS = [
-    ("baseline", {"use_tcm": False}),
-    ("tcm", {}),
-    ("no_ht_embedding", {"ht_embedding": False}),
-    ("no_ht_in_mhsa", {"ht_in_mhsa": False}),
-    ("no_mean_ht_to_cls", {"add_mean_ht_to_cls": False}),
-    ("no_mean_tt_to_cls", {"add_mean_tt_to_cls": False}),
-    ("no_cls_enrichment", {"add_mean_ht_to_cls": False, "add_mean_tt_to_cls": False}),
-]
 
 
 def cmd_gen_data(args):
@@ -63,15 +52,6 @@ def _load_corpus_split(data_dir, split):
     if not split_dir.is_dir():
         raise ConfigError(f"missing split directory {split_dir}")
     return D.read_split(split_dir)
-
-
-def _train_one(cfg: RunConfig, train_utts, dev_utts, model_config, log_fn=None):
-    tconf = cfg.train_config()
-    model = Model(model_config, seed=tconf.seed)
-    echo = cfg.resolved()
-    result = TR.train(model, train_utts, dev_utts, tconf, config_echo=echo,
-                      log_fn=log_fn)
-    return model, result
 
 
 def cmd_train(args):
@@ -99,7 +79,10 @@ def cmd_train(args):
                 f"val {rec['val_loss']:.4f}"
             )
 
-        model, result = _train_one(cfg, train_utts, dev_utts, model_config, log_fn)
+        tconf = cfg.train_config()
+        model = Model(model_config, seed=tconf.seed)
+        result = TR.train(model, train_utts, dev_utts, tconf,
+                          config_echo=cfg.resolved(), log_fn=log_fn)
 
     for ck in result.checkpoints:
         TR.save_checkpoint(ck, out_dir / f"epoch_{ck.epoch:03d}.ckpt")
@@ -155,61 +138,39 @@ def cmd_eval(args):
     return 0
 
 
-def _train_and_eval(cfg, corpus, model_config):
-    model, result = _train_one(cfg, corpus["train"], corpus["dev"], model_config)
-    TR.load_into_model(model, result.final)
+def _run_grid(args, variants):
+    """Train and score `variants(base)` on the data directory's corpus under
+    the config's seed; print the rows and write them to --out-dir."""
+    cfg = _load_config(args)
+    corpus = {s: _load_corpus_split(args.data_dir, s) for s in D.SPLITS}
+    base = cfg.model_config(corpus["train"][0].F)
     tconf = cfg.train_config()
-    report, _ = M.evaluate(
-        model, corpus["eval"], mode=cfg.eval_mode(), costs=cfg.tdcf_costs(),
-        target_T=tconf.target_T,
-    )
-    return report
-
-
-def cmd_ablate(args):
-    cfg = _load_config(args)
-    corpus = {s: _load_corpus_split(args.data_dir, s) for s in D.SPLITS}
-    base = cfg.model_config(corpus["train"][0].F)
-    rows = []
-    for name, overrides in ABLATION_VARIANTS:
-        mc = with_toggles(base, **overrides) if overrides else replace(base)
-        report = _train_and_eval(cfg, corpus, mc)
-        row = {"variant": name, "eer": report["eer"], "min_tdcf": report["min_tdcf"]}
-        rows.append(row)
-        _say(f"{name}: eer {report['eer']:.4f}")
-    _emit_table(args, cfg, {"rows": rows})
-    return 0
-
-
-def cmd_sweep_heads(args):
-    cfg = _load_config(args)
-    corpus = {s: _load_corpus_split(args.data_dir, s) for s in D.SPLITS}
-    base = cfg.model_config(corpus["train"][0].F)
-    heads = args.heads or [4, 6, 8]
-    rows = []
-    for h in heads:
-        for use_tcm in (False, True):
-            row = {"heads": h, "use_tcm": use_tcm}
-            try:
-                mc = with_toggles(replace(base, heads=h), use_tcm=use_tcm)
-                report = _train_and_eval(cfg, corpus, mc)
-                row["eer"] = report["eer"]
-            except ConfigError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-            _say(f"H={h} tcm={use_tcm}: {row.get('eer', row.get('error'))}")
-    _emit_table(args, cfg, {"rows": rows})
-    return 0
-
-
-def _emit_table(args, cfg, table):
-    out = json.dumps(table, sort_keys=True, indent=2)
-    print(out)
+    table = {"rows": E.run_grid(
+        [(tconf.seed, corpus)], base, variants(base), tconf, log=_say,
+        costs=cfg.tdcf_costs(), mode=cfg.eval_mode(), config_echo=cfg.resolved(),
+    )}
+    print(json.dumps(table, sort_keys=True, indent=2))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "results.json").write_text(out + "\n", encoding="utf-8")
+        E.write_results(table, out_dir / "results.json")
         cfg.write_echo(out_dir / "resolved_config.json")
+    return 0
+
+
+def cmd_ablate(args):
+    return _run_grid(args, lambda base: E.toggle_variants())
+
+
+def cmd_sweep_heads(args):
+    def variants(base):
+        return [
+            ({"heads": h, "use_tcm": use_tcm},
+             {"heads": h, "toggles": replace(base.toggles, use_tcm=use_tcm)})
+            for h in args.heads or [4, 6, 8] for use_tcm in (False, True)
+        ]
+
+    return _run_grid(args, variants)
 
 
 def cmd_params(args):

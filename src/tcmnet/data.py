@@ -313,25 +313,16 @@ def fix_length(features: np.ndarray, target_T: int) -> np.ndarray:
 @dataclass
 class Batch:
     utterances: list
-    features: np.ndarray | None = None  # B x target_T x F in fixed mode
+    features: np.ndarray  # B x target_T x F
 
 
-def batch_iter(utts, batch_size, mode="fixed", target_T=200, seed=0):
-    """Deterministically shuffled batches; final partial batch included.
-
-    Variable mode ignores batch_size and yields one full-length utterance
-    per batch.
-    """
+def batch_iter(utts, batch_size, target_T=200, seed=0):
+    """Deterministically shuffled batches, each utterance cropped or
+    repeated to target_T frames; final partial batch included."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if mode not in ("fixed", "variable"):
-        raise ConfigError(f"unknown batch mode {mode!r}")
     seed_words = [seed] if isinstance(seed, int) else list(seed)
     order = np.random.default_rng(seed_words + [0xBA7C]).permutation(len(utts))
-    if mode == "variable":
-        for i in order:
-            yield Batch([utts[i]])
-        return
     for lo in range(0, len(utts), batch_size):
         chunk = [utts[i] for i in order[lo : lo + batch_size]]
         dense = np.stack([fix_length(u.features, target_T) for u in chunk])

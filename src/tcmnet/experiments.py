@@ -1,9 +1,10 @@
-"""Desk-scale separation experiment: baseline vs TCM vs TCM without CLS
-enrichment, over several corpus seeds, reporting per-seed and median EER.
-
-Each seed draws a fresh corpus; the three variants train on the same
-corpus with identical protocol, so any median gap is attributable to the
-architecture. Runs are deterministic given the config.
+"""The experiment runner. `run_variant` trains one model and scores its eval
+split; `run_grid` runs every seed × every variant, one row per run. The
+desk-scale separation experiment (median EER of baseline, TCM and TCM
+without CLS enrichment over five corpus seeds), `tcmnet ablate` and
+`tcmnet sweep-heads` all run through it. Within a seed every variant trains
+on the same corpus, so any gap is attributable to the architecture. Runs
+are deterministic given the config.
 """
 
 from __future__ import annotations
@@ -12,18 +13,26 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from statistics import median
 
 from .data import CorpusSpec, generate_corpus
 from .metrics import TdcfCosts, evaluate
 from .model import Model, ModelConfig, TcmToggles
+from .tensor import ConfigError
 from .train import TrainConfig, load_into_model, train
 
+# The ablation table: variant name -> the five TCM toggles
 VARIANTS = (
     ("baseline", TcmToggles(use_tcm=False)),
     ("tcm", TcmToggles()),
+    ("no_ht_embedding", TcmToggles(ht_embedding=False)),
+    ("no_ht_in_mhsa", TcmToggles(ht_in_mhsa=False)),
+    ("no_mean_ht_to_cls", TcmToggles(add_mean_ht_to_cls=False)),
+    ("no_mean_tt_to_cls", TcmToggles(add_mean_tt_to_cls=False)),
     ("no_cls_enrichment", TcmToggles(add_mean_ht_to_cls=False,
                                      add_mean_tt_to_cls=False)),
 )
+DESK_VARIANTS = ("baseline", "tcm", "no_cls_enrichment")
 
 
 @dataclass
@@ -42,47 +51,66 @@ class DeskConfig:
     costs: TdcfCosts | None = None
 
 
-def run_variant(corpus, model_config, train_config, costs=None, target_T=None):
-    """Train one model on a generated corpus and score its eval split."""
+def run_variant(corpus, model_config, train_config, costs=None, target_T=None,
+                mode="fixed", config_echo=None):
+    """Train one model on a corpus and score its eval split."""
     model = Model(model_config, seed=train_config.seed)
-    result = train(model, corpus["train"], corpus["dev"], train_config)
+    result = train(model, corpus["train"], corpus["dev"], train_config,
+                   config_echo=config_echo)
     load_into_model(model, result.final)
-    report, _ = evaluate(model, corpus["eval"], costs=costs,
+    report, _ = evaluate(model, corpus["eval"], mode=mode, costs=costs,
                          target_T=target_T or train_config.target_T)
     report["val_loss"] = result.final.val_loss
     report["epochs"] = len(result.history)
     return report
 
 
-def median(values):
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = ordered[n // 2]
-    return mid if n % 2 else (ordered[n // 2 - 1] + mid) / 2.0
+def toggle_variants(names=None):
+    """`VARIANTS` (or the named ones, in that order) as `run_grid` variants."""
+    table = dict(VARIANTS)
+    return [({"variant": n}, {"toggles": table[n]}) for n in names or table]
+
+
+def run_grid(corpora, base, variants, train_config, log=None, **score):
+    """Every seed × every variant. `corpora` yields (seed, corpus) pairs;
+    each variant is (labels, changes), the `ModelConfig` fields it replaces
+    in `base`. Each row holds the labels, `seed`, the `run_variant` report
+    and `elapsed` seconds; a variant whose config is invalid gives a row
+    with `error` instead of a report. `score` goes to `run_variant`."""
+    rows = []
+    for seed, corpus in corpora:
+        tc = replace(train_config, seed=seed)
+        for labels, changes in variants:
+            t0 = time.time()
+            row = {**labels, "seed": seed}
+            try:
+                mc = replace(base, **changes)
+            except ConfigError as exc:
+                row["error"] = str(exc)
+            else:
+                row.update(run_variant(corpus, mc, tc, **score))
+            row["elapsed"] = time.time() - t0
+            rows.append(row)
+            if log:
+                tag = " ".join(f"{k}={row[k]}" for k in (*labels, "seed"))
+                outcome = (f"error: {row['error']}" if "error" in row else
+                           f"eer={row['eer']:.4f} val_loss={row['val_loss']:.4f}")
+                log(f"{tag}: {outcome} {row['elapsed']:.1f}s")
+    return rows
 
 
 def run_desk_experiment(config: DeskConfig, log=None):
-    """Full sweep: every seed x every variant. Returns a result dict with
-    per-run reports, per-variant medians, and total wall-clock seconds."""
+    """Full sweep: every seed x every desk variant. Returns a result dict
+    with per-run rows, per-variant medians, and total wall-clock seconds."""
     started = time.time()
-    runs = []
-    for seed in config.seeds:
-        corpus = generate_corpus(replace(config.corpus, seed=seed))
-        for name, toggles in VARIANTS:
-            t0 = time.time()
-            mc = replace(config.model, toggles=toggles)
-            tc = replace(config.train, seed=seed)
-            report = run_variant(corpus, mc, tc, costs=config.costs,
-                                 target_T=config.eval_target_T)
-            row = {"seed": seed, "variant": name,
-                   "elapsed": time.time() - t0, **report}
-            runs.append(row)
-            if log:
-                log(f"seed={seed} {name}: eer={row['eer']:.4f} "
-                    f"val_loss={row['val_loss']:.4f} {row['elapsed']:.1f}s")
+    corpora = ((s, generate_corpus(replace(config.corpus, seed=s)))
+               for s in config.seeds)
+    runs = run_grid(corpora, config.model, toggle_variants(DESK_VARIANTS),
+                    config.train, log=log, costs=config.costs,
+                    target_T=config.eval_target_T)
     medians = {
         name: median([r["eer"] for r in runs if r["variant"] == name])
-        for name, _ in VARIANTS
+        for name in DESK_VARIANTS
     }
     return {"runs": runs, "median_eer": medians,
             "total_seconds": time.time() - started}

@@ -173,7 +173,7 @@ def evaluate(model, utts, mode="fixed", costs: TdcfCosts | None = None,
              target_T=200, protocol=None):
     """Score a split and compute EER (and min t-DCF when costs are given)."""
     records = score_split(model, utts, mode=mode, target_T=target_T)
-    labels = dict(protocol) if protocol else {u.id: u.label for u in utts}
+    labels = dict(protocol) if protocol is not None else {u.id: u.label for u in utts}
     bona, spoof = split_by_label(records, labels)
     eer, threshold = compute_eer(bona, spoof)
     report = {

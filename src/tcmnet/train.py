@@ -133,7 +133,6 @@ def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
         batch_iter(
             train_utts,
             config.batch_size,
-            mode="fixed",
             target_T=config.target_T,
             seed=[config.seed, epoch],
         )

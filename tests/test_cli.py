@@ -6,7 +6,8 @@ import pytest
 
 from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
-from tcmnet.data import read_features, write_features
+from tcmnet.data import SPLITS, read_features, read_split, write_features
+from tcmnet.experiments import VARIANTS, run_variant
 from tcmnet.tensor import ConfigError
 from tcmnet.train import load_checkpoint
 
@@ -166,6 +167,15 @@ def test_eval_reproduces_logged_val_loss(trained, tmp_path):
     assert report["mean_loss"] == pytest.approx(last["val_loss"], abs=1e-12)
 
 
+def test_eval_rejects_empty_protocol(trained, tmp_path, capsys):
+    _, data_dir, run_dir = trained
+    (data_dir / "eval" / "protocol.txt").write_text("")
+    code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert "missing from protocol" in capsys.readouterr().err
+
+
 def test_eval_missing_protocol_entry(trained, tmp_path):
     _, data_dir, run_dir = trained
     protocol = data_dir / "eval" / "protocol.txt"
@@ -237,6 +247,26 @@ def test_ablate_command(trained, tmp_path, capsys):
         assert 0.0 <= row["eer"] <= 1.0
 
 
+def test_ablate_rows_equal_run_variant(trained, tmp_path):
+    # one runner: every ablate row is run_variant on the same split and configs
+    cfg_path, data_dir, _ = trained
+    overrides = ["model.dropout=0.2", "train.max_epochs=1"]
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(cfg_path), "--data-dir", str(data_dir),
+                 "--out-dir", str(out), "--set", overrides[0],
+                 "--set", overrides[1]]) == 0
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    cfg = RunConfig.load(cfg_path, overrides)
+    corpus = {s: read_split(data_dir / s) for s in SPLITS}
+    base = cfg.model_config(corpus["train"][0].F)
+    assert [r["variant"] for r in rows] == [name for name, _ in VARIANTS]
+    for row, (name, toggles) in zip(rows, VARIANTS):
+        want = run_variant(corpus, replace(base, toggles=toggles), cfg.train_config(),
+                           costs=cfg.tdcf_costs())
+        for key in ("eer", "min_tdcf", "threshold", "val_loss"):
+            assert row[key] == want[key], (name, key)
+
+
 def test_sweep_heads_command(trained, tmp_path, capsys):
     cfg, data_dir, _ = trained
     out = tmp_path / "sweep"
@@ -247,3 +277,13 @@ def test_sweep_heads_command(trained, tmp_path, capsys):
     rows = {(r["heads"], r["use_tcm"]): r for r in table["rows"]}
     assert "eer" in rows[(2, True)]
     assert "error" in rows[(3, True)]  # 8 % 3 != 0: error row, sweep continues
+
+
+def test_sweep_heads_stops_on_a_training_error(trained, tmp_path, capsys):
+    cfg, data_dir, _ = trained
+    out = tmp_path / "sweep"
+    code = main(["sweep-heads", "--config", str(cfg), "--data-dir", str(data_dir),
+                 "--out-dir", str(out), "--heads", "2", "--set", "train.batch_size=0"])
+    assert code == 1
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+    assert not (out / "results.json").exists()

@@ -238,7 +238,7 @@ def test_fix_length_always_target_rows(T, target):
 
 def test_batch_sizes():
     utts = [Utterance(f"u{i}", np.zeros((4, 2)), "bonafide") for i in range(7)]
-    batches = list(batch_iter(utts, 3, mode="fixed", target_T=4, seed=0))
+    batches = list(batch_iter(utts, 3, target_T=4, seed=0))
     assert [len(b.utterances) for b in batches] == [3, 3, 1]
     assert batches[0].features.shape == (3, 4, 2)
 
@@ -250,14 +250,3 @@ def test_batch_shuffle_deterministic():
     ids3 = [u.id for b in batch_iter(utts, 2, target_T=4, seed=6) for u in b.utterances]
     assert ids1 == ids2
     assert ids1 != ids3
-
-
-def test_variable_mode_one_utterance_per_batch():
-    rng = np.random.default_rng(1)
-    utts = [Utterance(f"u{i}", rng.standard_normal((4 + i, 2)), "spoof")
-            for i in range(5)]
-    batches = list(batch_iter(utts, 20, mode="variable", seed=0))
-    assert len(batches) == 5
-    for b in batches:
-        assert len(b.utterances) == 1
-        assert b.features is None  # features untouched in variable mode

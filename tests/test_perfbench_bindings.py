@@ -2,7 +2,8 @@
 functions by name, so a rename in `src/` would only show when
 `perfbench/run.py --trace 1` runs. Here the tracer is installed against
 the current package, driven through a tiny training and scoring run, and
-uninstalled."""
+uninstalled. Likewise `perfbench/workloads.py` times a desk variant by
+swapping `experiments.train` and `experiments.evaluate`."""
 
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tcmnet import data as D
+from tcmnet import experiments as E
 from tcmnet import metrics as M
 from tcmnet import model as MD
 from tcmnet import tensor as tt
@@ -17,6 +19,7 @@ from tcmnet import train as TR
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.trace import FUNCTIONS, MODEL_METHODS, TENSOR_OPS, Tracer  # noqa: E402
+from perfbench.workloads import _Capture  # noqa: E402
 
 
 def _bindings():
@@ -30,15 +33,21 @@ def _bindings():
     return out
 
 
-def _tiny_run(tmp_path):
+def _tiny_corpus():
     spec = D.CorpusSpec(n_train=6, n_dev=4, n_eval=6, feature_dim=6, t_min=8,
                         t_max=12, band_width=2, seg_len=4, amplitude=2.0, seed=3)
-    corpus = D.generate_corpus(spec)
-    cfg = MD.ModelConfig(feature_dim=6, dim=8, heads=2, blocks=1, conv_kernel=3,
-                         dropout=0.1)
-    net = MD.Model(cfg, seed=0)
-    tconf = TR.TrainConfig(batch_size=3, max_epochs=1, target_T=10, seed=3)
-    result = TR.train(net, corpus["train"], corpus["dev"], tconf)
+    return D.generate_corpus(spec)
+
+
+TINY_MODEL = MD.ModelConfig(feature_dim=6, dim=8, heads=2, blocks=1, conv_kernel=3,
+                            dropout=0.1)
+TINY_TRAIN = TR.TrainConfig(batch_size=3, max_epochs=1, target_T=10, seed=3)
+
+
+def _tiny_run(tmp_path):
+    corpus = _tiny_corpus()
+    net = MD.Model(TINY_MODEL, seed=0)
+    result = TR.train(net, corpus["train"], corpus["dev"], TINY_TRAIN)
     TR.load_into_model(net, result.final)
     costs = M.TdcfCosts(0.0, 1.0, 1.0)
     for mode in ("fixed", "variable"):
@@ -87,3 +96,16 @@ def test_tracer_binds_and_restores_every_name(tmp_path):
     )
     assert layers <= spans, sorted(layers - spans)
     assert tracer.tape_nodes and tracer.dropout_masks and tracer.thresholds
+
+
+def test_run_variant_calls_train_and_evaluate_through_module_globals():
+    # the train_desk workload times and checks a desk variant by capturing
+    # experiments.train and experiments.evaluate around run_variant
+    corpus = _tiny_corpus()
+    with _Capture(E, "train") as fit, _Capture(E, "evaluate") as ev:
+        report = E.run_variant(corpus, TINY_MODEL, TINY_TRAIN, target_T=12)
+    assert len(fit.seconds) == 1 and len(ev.seconds) == 1
+    assert len(fit.value.history) == TINY_TRAIN.max_epochs
+    assert [r.id for r in ev.value[1]] == [u.id for u in corpus["eval"]]
+    assert report["eer"] == ev.value[0]["eer"]
+    assert {"eer", "val_loss"} <= report.keys()

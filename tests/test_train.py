@@ -184,8 +184,7 @@ def test_non_finite_loss_names_epoch_and_batch():
     utts = tiny_corpus()["train"]
     utts[5].features[:, 2] = np.nan
     cfg = tiny_train_config()
-    batches = batch_iter(utts, cfg.batch_size, mode="fixed", target_T=cfg.target_T,
-                         seed=[cfg.seed, 2])
+    batches = batch_iter(utts, cfg.batch_size, target_T=cfg.target_T, seed=[cfg.seed, 2])
     batch = next(i for i, b in enumerate(batches, start=1)
                  if utts[5].id in [u.id for u in b.utterances])
     model = tiny_model()
