@@ -138,12 +138,13 @@ def cmd_eval(args):
     return 0
 
 
-def _run_grid(args, variants):
+def _run_grid(args, variants, **fixed):
     """Train and score `variants(base)` on the data directory's corpus under
-    the config's seed; print the rows and write them to --out-dir."""
+    the config's seed; print the rows and write them to --out-dir. `fixed`
+    replaces model fields of the config before `base` is validated."""
     cfg = _load_config(args)
     corpus = {s: _load_corpus_split(args.data_dir, s) for s in D.SPLITS}
-    base = cfg.model_config(corpus["train"][0].F)
+    base = cfg.model_config(corpus["train"][0].F, **fixed)
     tconf = cfg.train_config()
     table = {"rows": E.run_grid(
         [(tconf.seed, corpus)], base, variants(base), tconf, log=_say,
@@ -170,7 +171,9 @@ def cmd_sweep_heads(args):
             for h in args.heads or [4, 6, 8] for use_tcm in (False, True)
         ]
 
-    return _run_grid(args, variants)
+    # every row sets its own head count; 1 divides any dim, so the config's
+    # own model.heads is never checked against the dim
+    return _run_grid(args, variants, heads=1)
 
 
 def cmd_params(args):

@@ -49,7 +49,7 @@ class RunConfig:
     def load(cls, path, overrides=()):
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
@@ -60,8 +60,8 @@ class RunConfig:
     def corpus_spec(self) -> CorpusSpec:
         return CorpusSpec(**self.doc.get("corpus", {}))
 
-    def model_config(self, feature_dim) -> ModelConfig:
-        section = dict(self.doc.get("model", {}))
+    def model_config(self, feature_dim, **changes) -> ModelConfig:
+        section = dict(self.doc.get("model", {}), **changes)
         toggles = TcmToggles(**section.pop("toggles", {}))
         return ModelConfig(feature_dim=feature_dim, toggles=toggles, **section)
 

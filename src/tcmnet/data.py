@@ -12,6 +12,7 @@ are plain "id label" text lines.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from .tensor import ConfigError
 
 
 class FormatError(ValueError):
-    """Corrupt or truncated serialized file; message names the offset."""
+    """Corrupt or truncated data file; message names the file and offset."""
 
 
 LABELS = ("bonafide", "spoof")
@@ -173,6 +174,58 @@ def generate_corpus(spec: CorpusSpec):
 
 
 # ---------------------------------------------------------------------------
+# binary field reader, shared by feature files and checkpoints
+
+
+class FieldReader:
+    """Reads little-endian fields in order from one file's bytes. Every
+    failure raises the caller's `error` class with a message that names
+    the file, the field and its offset."""
+
+    def __init__(self, path, kind, error):
+        # kind names the format in messages: "feature file", "checkpoint"
+        self.path, self.kind, self.error = path, kind, error
+        self.buf = Path(path).read_bytes()
+        self.at = self.off = 0  # offsets of the last field read and the next
+
+    def fail(self, message):
+        return self.error(f"{self.path}: {message}")
+
+    def raw(self, n, what):
+        if self.off + n > len(self.buf):
+            raise self.fail(f"truncated {self.kind}: need {n} bytes for {what} "
+                            f"at offset {self.off}, have {len(self.buf) - self.off}")
+        self.at, self.off = self.off, self.off + n
+        return self.buf[self.at : self.off]
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt), what))
+
+    def text(self, n, what):
+        try:
+            return self.raw(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"{what} at offset {self.at} is not UTF-8: {exc}") from exc
+
+    def array(self, dtype, shape, what):
+        """The `shape` array stored as `dtype`, as a float64 copy."""
+        values = self.raw(np.dtype(dtype).itemsize * math.prod(shape), what)
+        return np.frombuffer(values, dtype).reshape(shape).astype(np.float64)
+
+    def header(self, magic, version):
+        found = self.raw(len(magic), "magic")
+        if found != magic:
+            raise self.fail(f"bad magic {found!r} at offset 0, expected {magic!r}")
+        (v,) = self.unpack("<I", "version")
+        if v != version:
+            raise self.fail(f"unsupported {self.kind} version {v} at offset {self.at}")
+
+    def end(self):
+        if self.off != len(self.buf):
+            raise self.fail(f"trailing bytes after offset {self.off}")
+
+
+# ---------------------------------------------------------------------------
 # feature file format: "TCMF" | u32 version | u8 label | u16 id_len | id
 # | u32 T | u32 F | T*F little-endian f32, row-major
 
@@ -193,47 +246,17 @@ def write_features(utt: Utterance, path):
     path.write_bytes(bytes(blob))
 
 
-def _need(buf, offset, n, what):
-    if offset + n > len(buf):
-        raise FormatError(
-            f"truncated feature file: need {n} bytes for {what} at offset {offset}, "
-            f"have {len(buf) - offset}"
-        )
-
-
 def read_features(path) -> Utterance:
-    buf = Path(path).read_bytes()
-    _need(buf, 0, 4, "magic")
-    if buf[:4] != _MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r} at offset 0, expected {_MAGIC!r}")
-    off = 4
-    _need(buf, off, 4, "version")
-    (version,) = struct.unpack_from("<I", buf, off)
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version} at offset {off}")
-    off += 4
-    _need(buf, off, 1, "label")
-    label_code = buf[off]
-    if label_code > 1:
-        raise FormatError(f"unknown label code {label_code} at offset {off}")
-    off += 1
-    _need(buf, off, 2, "id length")
-    (id_len,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    _need(buf, off, id_len, "id")
-    ident = buf[off : off + id_len].decode("utf-8")
-    off += id_len
-    _need(buf, off, 8, "dimensions")
-    T, F = struct.unpack_from("<II", buf, off)
-    off += 8
-    _need(buf, off, 4 * T * F, "feature payload")
-    feats = (
-        np.frombuffer(buf, dtype="<f4", count=T * F, offset=off)
-        .reshape(T, F)
-        .astype(np.float64)
-    )
-    if off + 4 * T * F != len(buf):
-        raise FormatError(f"trailing bytes after offset {off + 4 * T * F}")
+    r = FieldReader(path, "feature file", FormatError)
+    r.header(_MAGIC, _VERSION)
+    (label_code,) = r.unpack("<B", "label")
+    if label_code >= len(LABELS):
+        raise r.fail(f"unknown label code {label_code} at offset {r.at}")
+    (id_len,) = r.unpack("<H", "id length")
+    ident = r.text(id_len, "id")
+    T, F = r.unpack("<II", "dimensions")
+    feats = r.array("<f4", (T, F), "feature payload")
+    r.end()
     return Utterance(id=ident, features=feats, label=LABELS[label_code])
 
 
@@ -248,16 +271,18 @@ def write_protocol(entries, path):
 
 
 def read_protocol(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: protocol is not UTF-8: {exc}") from exc
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2 or parts[1] not in LABELS:
-                raise FormatError(f"{path}: bad protocol line {lineno}: {line!r}")
-            entries.append((parts[0], parts[1]))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2 or parts[1] not in LABELS:
+            raise FormatError(f"{path}: bad protocol line {lineno}: {line!r}")
+        entries.append((parts[0], parts[1]))
     return entries
 
 

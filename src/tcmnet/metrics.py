@@ -24,7 +24,7 @@ from .tensor import ConfigError
 
 
 class ScoreFileError(ValueError):
-    """Malformed score file line; message carries the line number."""
+    """Malformed score file; message names the file and any bad line."""
 
 
 @dataclass(slots=True)
@@ -117,20 +117,23 @@ def write_scores(records, path):
 
 def read_scores(path):
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            try:
-                if len(parts) != 2:
-                    raise ValueError("expected two fields")
-                records.append(ScoreRecord(parts[0], float(parts[1])))
-            except ValueError as exc:
-                raise ScoreFileError(
-                    f"{path}: bad score line {lineno}: {line!r}"
-                ) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                try:
+                    if len(parts) != 2:
+                        raise ValueError("expected two fields")
+                    records.append(ScoreRecord(parts[0], float(parts[1])))
+                except ValueError as exc:
+                    raise ScoreFileError(
+                        f"{path}: bad score line {lineno}: {line!r}"
+                    ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScoreFileError(f"{path}: score file is not UTF-8: {exc}") from exc
     return records
 
 

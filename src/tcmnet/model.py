@@ -46,14 +46,14 @@ class ModelConfig:
     toggles: TcmToggles = field(default_factory=TcmToggles)
 
     def __post_init__(self):
+        if self.blocks < 1 or self.heads < 1:
+            raise ConfigError("blocks and heads must be >= 1")
         if self.dim % self.heads != 0:
             raise ConfigError(
                 f"model dim {self.dim} not divisible by head count {self.heads}"
             )
         if self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if self.blocks < 1 or self.heads < 1:
-            raise ConfigError("blocks and heads must be >= 1")
         if self.block_kind not in ("conformer", "transformer"):
             raise ConfigError(f"unknown block_kind {self.block_kind!r}")
         if self.positional_encoding not in ("none", "sinusoidal"):

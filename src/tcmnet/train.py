@@ -9,7 +9,6 @@ dropout are keyed by the config seed, so reruns are bit-identical.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tt
-from .data import batch_iter, fix_length
+from .data import FieldReader, batch_iter, fix_length
 from .model import DropoutCtx, Model
 from .tensor import ConfigError, Tensor
 
@@ -224,59 +223,25 @@ def save_checkpoint(ckpt: Checkpoint, path):
     os.replace(tmp, path)
 
 
-def _take(buf, off, n, what):
-    """buf[off:off + n], or a CheckpointError naming `what` and the offset."""
-    if off + n > len(buf):
-        raise CheckpointError(
-            f"truncated checkpoint: need {n} bytes for {what} at offset {off}, "
-            f"have {len(buf) - off}"
-        )
-    return buf[off : off + n]
-
-
-def _unpack(fmt, buf, off, what):
-    return struct.unpack(fmt, _take(buf, off, struct.calcsize(fmt), what))
-
-
-def _text(buf, off, n, what):
-    try:
-        return _take(buf, off, n, what).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{what} at offset {off} is not UTF-8: {exc}") from exc
-
-
 def load_checkpoint(path) -> Checkpoint:
-    buf = Path(path).read_bytes()
-    magic = _take(buf, 0, 4, "magic")
-    if magic != _MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    version, count = _unpack("<II", buf, 4, "version and tensor count")
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    off = 12
+    r = FieldReader(path, "checkpoint", CheckpointError)
+    r.header(_MAGIC, _VERSION)
+    (count,) = r.unpack("<I", "tensor count")
     params = {}
     for i in range(count):
-        (name_len,) = _unpack("<H", buf, off, f"name length of tensor {i}")
-        name = _text(buf, off + 2, name_len, f"name of tensor {i}")
-        off += 2 + name_len
-        (rank,) = _unpack("<B", buf, off, f"rank of {name!r}")
-        dims = _unpack(f"<{rank}I", buf, off + 1, f"shape of {name!r}")
-        off += 1 + 4 * rank
-        n = math.prod(dims)
-        values = _take(buf, off, 8 * n, f"values of {name!r}")
-        params[name] = np.frombuffer(values, dtype="<f8").reshape(dims).astype(np.float64)
-        off += 8 * n
-    (json_len,) = _unpack("<I", buf, off, "config echo length")
+        (name_len,) = r.unpack("<H", f"name length of tensor {i}")
+        name = r.text(name_len, f"name of tensor {i}")
+        (rank,) = r.unpack("<B", f"rank of {name!r}")
+        dims = r.unpack(f"<{rank}I", f"shape of {name!r}")
+        params[name] = r.array("<f8", dims, f"values of {name!r}")
+    (json_len,) = r.unpack("<I", "config echo length")
     try:
-        echo = json.loads(_text(buf, off + 4, json_len, "config echo"))
+        echo = json.loads(r.text(json_len, "config echo"))
     except json.JSONDecodeError as exc:
-        raise CheckpointError(f"config echo at offset {off + 4} is not JSON: {exc}") from exc
-    off += 4 + json_len
-    (val_loss,) = _unpack("<d", buf, off, "val_loss")
-    (epoch,) = _unpack("<I", buf, off + 8, "epoch")
-    off += 12
-    if off != len(buf):
-        raise CheckpointError(f"trailing bytes after offset {off}")
+        raise r.fail(f"config echo at offset {r.at} is not JSON: {exc}") from exc
+    (val_loss,) = r.unpack("<d", "val_loss")
+    (epoch,) = r.unpack("<I", "epoch")
+    r.end()
     return Checkpoint(params=params, config_echo=echo, epoch=epoch, val_loss=val_loss)
 
 

@@ -56,6 +56,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.load(path)
 
 
+def test_config_non_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.load(path)
+    assert str(path) in str(info.value)
+    assert main(["params", "--config", str(path)]) == 1
+    assert f"error: {path}: invalid JSON" in capsys.readouterr().err
+
+
 def test_config_overrides():
     doc = {"train": {"seed": 1}}
     apply_override(doc, "train.seed=9")
@@ -277,6 +287,20 @@ def test_sweep_heads_command(trained, tmp_path, capsys):
     rows = {(r["heads"], r["use_tcm"]): r for r in table["rows"]}
     assert "eer" in rows[(2, True)]
     assert "error" in rows[(3, True)]  # 8 % 3 != 0: error row, sweep continues
+
+
+def test_sweep_heads_ignores_the_config_head_count(trained, tmp_path):
+    # the swept counts decide: a config head count the dim does not divide
+    # must not stop the sweep
+    cfg, data_dir, _ = trained
+    out = tmp_path / "sweep"
+    assert main(["sweep-heads", "--config", str(cfg), "--data-dir", str(data_dir),
+                 "--out-dir", str(out), "--heads", "2", "4",
+                 "--set", "model.heads=3", "--set", "train.max_epochs=1"]) == 0
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    assert [(r["heads"], r["use_tcm"]) for r in rows] == [
+        (2, False), (2, True), (4, False), (4, True)]
+    assert all("eer" in r for r in rows)
 
 
 def test_sweep_heads_stops_on_a_training_error(trained, tmp_path, capsys):

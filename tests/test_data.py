@@ -139,9 +139,12 @@ def test_feature_truncation_errors(tmp_path):
     path = tmp_path / "u.tcmf"
     write_features(u, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(FormatError, match="offset"):
-        read_features(path)
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(FormatError, match=r"truncated feature file: need \d+ "
+                           r"bytes for .+ at offset \d+, have \d+") as info:
+            read_features(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_feature_bad_magic(tmp_path):
@@ -184,6 +187,14 @@ def test_protocol_unknown_label(tmp_path):
     path.write_text("u2 genuine\n")
     with pytest.raises(FormatError, match="line 1"):
         read_protocol(path)
+
+
+def test_protocol_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "protocol.txt"
+    path.write_bytes(b"\xffu1 spoof\n")
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        read_protocol(path)
+    assert str(path) in str(info.value)
 
 
 def test_protocol_large_roundtrip(tmp_path):

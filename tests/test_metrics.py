@@ -239,6 +239,14 @@ def test_score_file_malformed_line(tmp_path):
         read_scores(path)
 
 
+def test_score_file_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(b"u1 0.5\nu\xff2 0.25\n")
+    with pytest.raises(ScoreFileError, match="not UTF-8") as info:
+        read_scores(path)
+    assert str(path) in str(info.value)
+
+
 def test_score_file_large_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     records = [ScoreRecord(f"u{i}", round(float(rng.standard_normal()), 6))

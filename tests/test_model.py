@@ -50,8 +50,9 @@ def share_params(dst: Model, src: Model):
 
 
 def test_config_rejects_indivisible_heads():
-    with pytest.raises(ConfigError):
-        small_config(dim=10, heads=4)
+    for kw in (dict(dim=10, heads=4), dict(heads=0)):
+        with pytest.raises(ConfigError):
+            small_config(**kw)
 
 
 def test_config_rejects_even_kernel():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from tcmnet import tensor as tt
-from tcmnet.data import CorpusSpec, Utterance, batch_iter, generate_corpus
+from tcmnet.data import (
+    CorpusSpec,
+    FormatError,
+    Utterance,
+    batch_iter,
+    generate_corpus,
+    read_features,
+    write_features,
+)
 from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import Tensor
 from tcmnet.train import (
@@ -352,8 +360,27 @@ def test_checkpoint_truncated_at_every_byte_names_field_and_offset(tmp_path):
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
         with pytest.raises(CheckpointError, match=r"truncated checkpoint: need \d+ "
-                           r"bytes for .+ at offset \d+, have \d+"):
+                           r"bytes for .+ at offset \d+, have \d+") as info:
             load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_every_overwritten_byte_loads_or_names_the_file(tmp_path):
+    feats, ckpt = tmp_path / "u.tcmf", tmp_path / "m.ckpt"
+    write_features(Utterance("u1", np.ones((2, 3)), "spoof"), feats)
+    save_checkpoint(Checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(1)},
+                               {"a": [1]}, epoch=2, val_loss=0.25), ckpt)
+    for path, load, error in ((feats, read_features, FormatError),
+                              (ckpt, load_checkpoint, CheckpointError)):
+        blob = path.read_bytes()
+        for i in range(len(blob)):
+            for byte in (0x00, 0x80, 0xFF):
+                path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+                try:
+                    load(path)
+                except error as exc:
+                    assert str(exc).startswith(f"{path}: ") and "offset" in str(exc), (
+                        i, byte, str(exc))
 
 
 def test_checkpoint_corrupt_name_and_echo_name_offset(tmp_path):
