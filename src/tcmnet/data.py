@@ -255,6 +255,8 @@ def read_features(path) -> Utterance:
     (id_len,) = r.unpack("<H", "id length")
     ident = r.text(id_len, "id")
     T, F = r.unpack("<II", "dimensions")
+    if T == 0 or F == 0:
+        raise r.fail(f"empty feature payload: dimensions {T} x {F} at offset {r.at}")
     feats = r.array("<f4", (T, F), "feature payload")
     r.end()
     return Utterance(id=ident, features=feats, label=LABELS[label_code])
@@ -329,6 +331,8 @@ def fix_length(features: np.ndarray, target_T: int) -> np.ndarray:
     if target_T < 1:
         raise ConfigError(f"target_T must be >= 1, got {target_T}")
     T = features.shape[0]
+    if T == 0:
+        raise ConfigError("cannot fix the length of an utterance with no frames")
     if T >= target_T:
         return features[:target_T].copy()
     idx = np.arange(target_T) % T

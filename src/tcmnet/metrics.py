@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as tt
 from .data import fix_length
 from .tensor import ConfigError
 
@@ -140,27 +139,28 @@ def read_scores(path):
 # ---------------------------------------------------------------------------
 
 
+SCORE_CHUNK = 32  # utterances per Model.score call
+
+
 def score_split(model, utts, mode="fixed", target_T=200):
-    """ScoreRecord per utterance, in input order. Variable mode scores each
-    full-length utterance on its own."""
+    """ScoreRecord per utterance, in input order. Utterances of one length
+    are scored together, SCORE_CHUNK at a time: fixed mode crops every one
+    to target_T (one group, in input order), variable mode keeps full
+    lengths and groups by T x F shape."""
     if mode not in ("fixed", "variable"):
         raise ConfigError(f"unknown eval mode {mode!r}")
-    if mode == "fixed":
-        return _score_fixed_batched(model, utts, target_T)
-    return [ScoreRecord(u.id, model.score(u.features)) for u in utts]
-
-
-def _score_fixed_batched(model, utts, target_T, chunk=32):
-    records = []
-    for lo in range(0, len(utts), chunk):
-        part = utts[lo : lo + chunk]
-        feats = np.stack([fix_length(u.features, target_T) for u in part])
-        with tt.no_grad():
-            logits = model.forward_sharded(feats).data
-        records.extend(
-            ScoreRecord(u.id, float(lg[0] - lg[1])) for u, lg in zip(part, logits)
-        )
-    return records
+    groups = {}
+    for i, u in enumerate(utts):
+        groups.setdefault(target_T if mode == "fixed" else u.features.shape, []).append(i)
+    scores = {}
+    for group in groups.values():
+        for lo in range(0, len(group), SCORE_CHUNK):
+            part = group[lo : lo + SCORE_CHUNK]
+            feats = [utts[i].features for i in part]
+            if mode == "fixed":  # crop per chunk: one chunk of copies at a time
+                feats = [fix_length(f, target_T) for f in feats]
+            scores.update(zip(part, model.score(np.stack(feats))))
+    return [ScoreRecord(u.id, scores[i]) for i, u in enumerate(utts)]
 
 
 def split_by_label(records, labels_by_id):

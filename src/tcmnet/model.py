@@ -401,9 +401,15 @@ class Model:
         return float(logits.data[0] - logits.data[1]), logits
 
     def score(self, features):
+        """T x F features -> score; B x T x F -> list of B scores. Runs
+        without a tape, through forward_sharded."""
+        feats = np.asarray(features)
+        if feats.ndim not in (2, 3):
+            raise ConfigError(f"expected T x F or B x T x F features, got {feats.shape}")
         with tt.no_grad():
-            s, _ = self.forward(features)
-        return s
+            logits = self.forward_sharded(feats if feats.ndim == 3 else feats[None]).data
+        scores = (logits[:, 0] - logits[:, 1]).tolist()
+        return scores if feats.ndim == 3 else scores[0]
 
 
 def tcm_param_delta(config: ModelConfig, respect_toggles=False):

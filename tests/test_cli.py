@@ -211,6 +211,20 @@ def test_eval_rejects_mixed_feature_dims(trained, tmp_path, capsys, mode):
     assert f"{second}: feature dim 5 differs from 6" in err
 
 
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_eval_rejects_a_feature_file_with_no_frames(trained, tmp_path, capsys, mode):
+    _, data_dir, run_dir = trained
+    second = sorted((data_dir / "eval").glob("*.tcmf"))[1]
+    utt = read_features(second)
+    write_features(replace(utt, features=utt.features[:0]), second)
+    code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "e"),
+                 "--mode", mode])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{second}: empty feature payload: dimensions 0 x 6 at offset" in err
+
+
 def test_train_reports_non_finite_loss(tiny_config, tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(tiny_config), "--out-dir",

@@ -147,6 +147,18 @@ def test_feature_truncation_errors(tmp_path):
         assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+def test_feature_file_with_no_values_names_the_file(tmp_path, shape):
+    u = Utterance("utt_1", np.zeros(shape), "spoof")
+    path = tmp_path / "u.tcmf"
+    write_features(u, path)
+    # magic, version, label, id length and the 5-byte id come first
+    with pytest.raises(FormatError) as info:
+        read_features(path)
+    assert str(info.value) == (f"{path}: empty feature payload: dimensions "
+                               f"{shape[0]} x {shape[1]} at offset 16")
+
+
 def test_feature_bad_magic(tmp_path):
     path = tmp_path / "u.tcmf"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -245,6 +257,15 @@ def test_fix_length_identity_and_crop():
 def test_fix_length_always_target_rows(T, target):
     x = np.random.default_rng(0).standard_normal((T, 3))
     assert fix_length(x, target).shape == (target, 3)
+
+
+def test_fix_length_rejects_an_utterance_with_no_frames():
+    with pytest.raises(ConfigError, match="no frames"):
+        fix_length(np.zeros((0, 3)), 4)
+    utts = [Utterance("u0", np.zeros((4, 3)), "spoof"),
+            Utterance("u1", np.zeros((0, 3)), "spoof")]
+    with pytest.raises(ConfigError, match="no frames"):
+        list(batch_iter(utts, 2, target_T=4))
 
 
 def test_batch_sizes():

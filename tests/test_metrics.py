@@ -323,6 +323,15 @@ def test_evaluate_variable_mode_scores_full_length():
     assert [r.score for r in records] == by_hand
 
 
+def test_variable_mode_rejects_a_feature_dim_the_model_does_not_take():
+    # same T, different F: the odd utterance must reach the model's own
+    # check, not be stacked with the others
+    utts = _tiny_split(3)
+    utts[1].features = np.zeros((utts[0].T, 5))
+    with pytest.raises(ConfigError, match="feature dim 5 does not match config 6"):
+        score_split(_tiny_model(), utts, mode="variable")
+
+
 def test_evaluate_matches_independent_pipeline(tmp_path):
     # end-to-end: score file + protocol through a separately scripted
     # metric computation

@@ -3,7 +3,8 @@ functions by name, so a rename in `src/` would only show when
 `perfbench/run.py --trace 1` runs. Here the tracer is installed against
 the current package, driven through a tiny training and scoring run, and
 uninstalled. Likewise `perfbench/workloads.py` times a desk variant by
-swapping `experiments.train` and `experiments.evaluate`."""
+swapping `experiments.train` and `experiments.evaluate`, and times
+variable-mode scoring by wrapping `Model.score`."""
 
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from tcmnet import train as TR
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.trace import FUNCTIONS, MODEL_METHODS, TENSOR_OPS, Tracer  # noqa: E402
-from perfbench.workloads import _Capture  # noqa: E402
+from perfbench.workloads import SAMPLE_UTTS, Checks, ScoreEval, _Capture  # noqa: E402
 
 
 def _bindings():
@@ -109,3 +110,23 @@ def test_run_variant_calls_train_and_evaluate_through_module_globals():
     assert [r.id for r in ev.value[1]] == [u.id for u in corpus["eval"]]
     assert report["eer"] == ev.value[0]["eer"]
     assert {"eer", "val_loss"} <= report.keys()
+
+
+def test_score_eval_workload_runs_on_a_tiny_split(monkeypatch, tmp_path):
+    # ScoreEval reads its shapes from DeskConfig; finish() samples
+    # SAMPLE_UTTS utterances, and summary() takes percentiles of the
+    # Model.score call times, so a scoring path that bypasses Model.score
+    # would fail the whole benchmark run
+    spec = D.CorpusSpec(n_train=1, n_dev=1, n_eval=SAMPLE_UTTS + 4, feature_dim=6,
+                        t_min=8, t_max=12, band_width=2, seg_len=4, amplitude=2.0)
+    tiny = E.DeskConfig(corpus=spec, model=TINY_MODEL, eval_target_T=10)
+    monkeypatch.setattr(E, "DeskConfig", lambda: tiny)
+    workload, checks = ScoreEval(seed=3, workdir=tmp_path), Checks()
+    state = workload.setup()
+    for _ in range(2):
+        workload.check(state, workload.unit(state), checks)
+    workload.finish(state, checks)
+    gated, named = workload.summary()
+    assert checks.attempted > 0 and checks.failed == 0, checks.notes
+    assert named["score_variable_samples"][0] > 0
+    assert gated["items_per_s"] > 0 and gated["unit_s"] > 0

@@ -3,6 +3,7 @@ grad mode, and results that do not depend on the shard count."""
 
 import faulthandler
 import os
+import re
 import sys
 import threading
 import weakref
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 from tcmnet import tensor as tt
-from tcmnet.data import CorpusSpec, generate_corpus
+from tcmnet.data import CorpusSpec, Utterance, generate_corpus
 from tcmnet.experiments import VARIANTS
-from tcmnet.metrics import score_split
-from tcmnet.model import DropoutCtx, Model, ModelConfig
-from tcmnet.tensor import Tensor
+from tcmnet.metrics import SCORE_CHUNK, score_split
+from tcmnet.model import DropoutCtx, Model, ModelConfig, TcmToggles
+from tcmnet.tensor import ConfigError, Tensor
 from tcmnet.train import AdamState, TrainConfig, train_epoch, validate
 
 # a deadlocked shard would hang the run; dump every thread's stack and exit
@@ -54,15 +55,16 @@ def _config(kind, toggles):
 
 
 def _run(cfg, corpus):
-    """Two training steps at B=5, then validation and fixed-mode scoring."""
+    """Two training steps at B=5, then validation and scoring in both modes."""
     model = Model(cfg, seed=4)
     tconf = TrainConfig(batch_size=5, target_T=10, seed=2)
     weights = [1.0, 1.5]
     loss = train_epoch(model, corpus["train"], tconf, 1, AdamState(), weights)
     val = validate(model, corpus["dev"], tconf, weights)
     scores = [r.score for r in score_split(model, corpus["eval"], target_T=12)]
+    variable = [r.score for r in score_split(model, corpus["eval"], mode="variable")]
     params = b"".join(t.data.tobytes() for t in model.params.values())
-    return loss, val, scores, params
+    return loss, val, scores, variable, params
 
 
 @pytest.mark.parametrize("kind", ["conformer", "transformer"])
@@ -78,6 +80,45 @@ def test_shard_count_does_not_change_results(kind, monkeypatch, busy_threads):
             results[n] = _run(cfg, corpus)
         for n in (2, 3):
             assert results[n] == results[1], (name, n)
+
+
+def _mixed_length_split():
+    """Shuffled utterances: one length seen once, one seen 35 times (a full
+    chunk plus 3), and a few lengths in between."""
+    lengths = [7] + [9] * (SCORE_CHUNK + 3) + [8, 8, 10, 10, 10, 11, 11]
+    rng = np.random.default_rng(11)
+    rng.shuffle(lengths)
+    return [Utterance(f"u{i:02d}", rng.standard_normal((T, 6)), "spoof")
+            for i, T in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_variable_scoring_matches_forward_per_utterance(kind, monkeypatch, busy_threads):
+    utts = _mixed_length_split()
+    m = Model(_config(kind, TcmToggles()), seed=12)
+    want = [m.forward(u.features)[0] for u in utts]
+    tt.reset_tape()
+    for n in (1, 2, 3):
+        _use_cpus(monkeypatch, n)
+        records = score_split(m, utts, mode="variable")
+        assert [r.id for r in records] == [u.id for u in utts], n
+        assert [r.score for r in records] == want, n
+
+
+def test_score_takes_one_utterance_or_a_stack(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    m = Model(_config("conformer", TcmToggles()), seed=13)
+    feats = np.random.default_rng(13).standard_normal((5, 9, 6))
+    x = Tensor(np.ones(3), requires_grad=True)
+    tt.sum_all(x)
+    assert type(m.score(feats[0])) is float
+    batch = m.score(feats)
+    assert type(batch) is list and batch == [m.score(f) for f in feats]
+    for bad in (feats[0, 0], feats[None]):
+        with pytest.raises(ConfigError, match=re.escape(f"features, got {bad.shape}")):
+            m.score(bad)
+    assert len(tt.active_tape()) == 1
+    assert tt.sum_all(x).requires_grad
 
 
 def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
