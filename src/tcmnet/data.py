@@ -339,6 +339,17 @@ def fix_length(features: np.ndarray, target_T: int) -> np.ndarray:
     return features[idx]
 
 
+def check_feature_dims(utts):
+    """Every utterance must have the first one's feature dim F: utterances
+    cropped to one length are stacked into a B x T x F array."""
+    for u in utts:
+        if u.F != utts[0].F:
+            raise ConfigError(
+                f"utterance {u.id!r}: feature dim {u.F} differs from "
+                f"{utts[0].F} of {utts[0].id!r}"
+            )
+
+
 @dataclass
 class Batch:
     utterances: list
@@ -350,6 +361,7 @@ def batch_iter(utts, batch_size, target_T=200, seed=0):
     repeated to target_T frames; final partial batch included."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_feature_dims(utts)
     seed_words = [seed] if isinstance(seed, int) else list(seed)
     order = np.random.default_rng(seed_words + [0xBA7C]).permutation(len(utts))
     for lo in range(0, len(utts), batch_size):

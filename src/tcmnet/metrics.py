@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import fix_length
+from . import tensor as tt
+from .data import check_feature_dims, fix_length
 from .tensor import ConfigError
 
 
@@ -115,51 +116,59 @@ def write_scores(records, path):
 
 
 def read_scores(path):
-    records = []
+    # One record per line, built as its line is parsed. Splitting the whole
+    # file into id and score lists first parses faster, but leaves the
+    # records apart from their fields in memory, and the garbage collector's
+    # walks over them then cost more than the parse saved.
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                try:
-                    if len(parts) != 2:
-                        raise ValueError("expected two fields")
-                    records.append(ScoreRecord(parts[0], float(parts[1])))
-                except ValueError as exc:
-                    raise ScoreFileError(
-                        f"{path}: bad score line {lineno}: {line!r}"
-                    ) from exc
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ScoreFileError(f"{path}: score file is not UTF-8: {exc}") from exc
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if line:
+            try:
+                ident, score = line.split(" ")
+                records.append(ScoreRecord(ident, float(score)))
+            except ValueError as exc:
+                raise ScoreFileError(f"{path}: bad score line {lineno}: {line!r}") from exc
     return records
 
 
 # ---------------------------------------------------------------------------
 
 
-SCORE_CHUNK = 32  # utterances per Model.score call
+# Utterances per Model.score call. Each chunk runs whole on one worker
+# (tensor.map_workers), so two workers hold at most 16 utterances at a time.
+SCORE_CHUNK = 8
 
 
 def score_split(model, utts, mode="fixed", target_T=200):
     """ScoreRecord per utterance, in input order. Utterances of one length
-    are scored together, SCORE_CHUNK at a time: fixed mode crops every one
-    to target_T (one group, in input order), variable mode keeps full
-    lengths and groups by T x F shape."""
+    are scored together, SCORE_CHUNK at a time, one chunk per worker thread:
+    fixed mode crops every one to target_T (one group, in input order, of
+    one feature dim), variable mode keeps full lengths and groups by T x F
+    shape."""
     if mode not in ("fixed", "variable"):
         raise ConfigError(f"unknown eval mode {mode!r}")
+    if mode == "fixed":
+        check_feature_dims(utts)
     groups = {}
     for i, u in enumerate(utts):
         groups.setdefault(target_T if mode == "fixed" else u.features.shape, []).append(i)
+    chunks = [group[lo : lo + SCORE_CHUNK]
+              for group in groups.values() for lo in range(0, len(group), SCORE_CHUNK)]
+
+    def score(part):
+        feats = [utts[i].features for i in part]
+        if mode == "fixed":  # crop per chunk: one chunk of copies per worker
+            feats = [fix_length(f, target_T) for f in feats]
+        return model.score(np.stack(feats))
+
     scores = {}
-    for group in groups.values():
-        for lo in range(0, len(group), SCORE_CHUNK):
-            part = group[lo : lo + SCORE_CHUNK]
-            feats = [utts[i].features for i in part]
-            if mode == "fixed":  # crop per chunk: one chunk of copies at a time
-                feats = [fix_length(f, target_T) for f in feats]
-            scores.update(zip(part, model.score(np.stack(feats))))
+    for part, got in zip(chunks, tt.map_workers(score, chunks)):
+        scores.update(zip(part, got))
     return [ScoreRecord(u.id, scores[i]) for i, u in enumerate(utts)]
 
 

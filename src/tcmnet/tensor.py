@@ -417,8 +417,11 @@ def gelu(x):
 
 def _logistic(x):
     # exp overflows to inf below x = -709, where 1 / (1 + inf) is exactly 0
+    s = np.negative(x)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def sigmoid(x):
@@ -521,7 +524,9 @@ def affine(x, w, b):
     if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
     din, dout = w.shape
-    out = _make(x.data @ w.data + b.data, x, w, b)
+    y = x.data @ w.data
+    y += b.data
+    out = _make(y, x, w, b)
 
     def reduce(xd, g):
         if w.requires_grad:
@@ -562,8 +567,14 @@ def mhsa_core(q, k, v, heads, trace=None):
     q, k, v: (..., S, D) with D divisible by `heads`; returns the same-shape
     concatenation of softmax(Qi Ki^T / sqrt(d)) Vi. One tape node for the
     whole head loop; `trace` collects the row-stochastic S x S weights,
-    one entry per (leading index, head) in row-major order. Only a graph
-    that needs gradients keeps every head's weights for backward.
+    one entry per (leading index, head) in row-major order.
+
+    Scores are held keys-major, E = K (Q / sqrt(d))^T, so the softmax max
+    is a reduction across rows. After exp, one matmul E^T [V | 1] gives the
+    unnormalised outputs and their row sums, and only the S x d outputs are
+    divided (deferred normalisation, as in FlashAttention). The normalised
+    weights are built only for backward, which keeps every head's, or for
+    `trace`; both modes compute the outputs the same way, bit for bit.
     """
     if q.data.ndim < 2:
         raise ShapeError(f"mhsa_core expects (..., S, D), got shape {q.shape}")
@@ -584,38 +595,42 @@ def mhsa_core(q, k, v, heads, trace=None):
     def from_head(arr):  # (N, S, d) -> (..., S, H*d)
         return arr.reshape(lead + (heads, S, d)).swapaxes(-3, -2).reshape(q.shape)
 
-    q3, k3, v3 = by_head(q.data), by_head(k.data), by_head(v.data)
+    qs, k3 = by_head(q.data) * inv_sqrt_d, by_head(k.data)
+    v1 = np.empty((n, S, d + 1))  # [V | 1]
+    v1[..., :d] = by_head(v.data)
+    v1[..., d] = 1.0
     keep = _needs_grad(q, k, v)
-    a = np.empty((n if keep else min(step, n), S, S))
-    o3 = np.empty((n, S, d))
+    e = np.empty((n if keep else min(step, n), S, S))  # e[i, key, query]
+    acc = np.empty((n, S, d + 1))  # [unnormalised outputs | row sums]
     for blk in blocks:
-        ab = a[blk] if keep else a[: blk.stop - blk.start]
-        np.matmul(q3[blk], k3[blk].swapaxes(-1, -2), out=ab)
-        ab *= inv_sqrt_d
-        ab -= ab.max(axis=-1, keepdims=True)
-        np.exp(ab, out=ab)
-        ab /= ab.sum(axis=-1, keepdims=True)
+        eb = e[blk] if keep else e[: blk.stop - blk.start]
+        np.matmul(k3[blk], qs[blk].swapaxes(-1, -2), out=eb)
+        eb -= eb.max(axis=-2, keepdims=True)
+        np.exp(eb, out=eb)
+        np.matmul(eb.swapaxes(-1, -2), v1[blk], out=acc[blk])
+        if keep or trace is not None:
+            eb /= acc[blk, :, d:].swapaxes(-1, -2)  # the weights, keys-major
         if trace is not None:
-            trace.extend({"attn_len": S, "weights": w.copy()} for w in ab)
-        np.matmul(ab, v3[blk], out=o3[blk])
+            trace.extend({"attn_len": S, "weights": w.T.copy()} for w in eb)
+    o3 = acc[..., :d]
+    o3 /= acc[..., d:]
     out = _make(from_head(o3), q, k, v)
 
     def bwd(g):
-        go3 = by_head(g)
+        go3, v3 = by_head(g), v1[..., :d]
         dq3, dk3, dv3 = (np.empty((n, S, d)) for _ in range(3))
         da = np.empty((min(step, n), S, S))
-        rows = np.empty_like(da)
+        prod = np.empty_like(da)
         for blk in blocks:
-            ab, m = a[blk], blk.stop - blk.start
-            ds = da[:m]
-            np.matmul(go3[blk], v3[blk].swapaxes(-1, -2), out=ds)
-            ds -= np.multiply(ds, ab, out=rows[:m]).sum(axis=-1, keepdims=True)
-            ds *= ab
-            np.matmul(ds, k3[blk], out=dq3[blk])
-            np.matmul(ds.swapaxes(-1, -2), q3[blk], out=dk3[blk])
-            np.matmul(ab.swapaxes(-1, -2), go3[blk], out=dv3[blk])
+            at, m = e[blk], blk.stop - blk.start
+            ds = da[:m]  # keys-major, as e
+            np.matmul(v3[blk], go3[blk].swapaxes(-1, -2), out=ds)
+            ds -= np.multiply(ds, at, out=prod[:m]).sum(axis=-2, keepdims=True)
+            ds *= at
+            np.matmul(ds.swapaxes(-1, -2), k3[blk], out=dq3[blk])
+            np.matmul(ds, qs[blk], out=dk3[blk])
+            np.matmul(at, go3[blk], out=dv3[blk])
         dq3 *= inv_sqrt_d
-        dk3 *= inv_sqrt_d
         for t, dt in ((q, dq3), (k, dk3), (v, dv3)):
             if t.requires_grad:
                 t.accum_grad(from_head(dt), fresh=True)
@@ -752,3 +767,27 @@ def shard_rows(fn, rows):
 
     _record(out, bwd)
     return out
+
+
+def _inline_shards(fn, item):
+    _state.in_shard = True
+    try:
+        return fn(item)
+    finally:
+        _state.in_shard = False
+
+
+def map_workers(fn, items):
+    """[fn(item) for item in items], each call on a shard worker thread.
+
+    For work that is already cut into whole pieces (scoring chunks): one
+    piece per worker, no rows split, and a `shard_rows` inside fn runs
+    inline on its worker. Results are in input order; the first error is
+    raised only after every call has finished. With one usable CPU, or
+    from inside a shard, the calls run on the calling thread.
+    """
+    n = min(_usable_cpus(), len(items))
+    if n < 2 or _state.in_shard:
+        return [fn(item) for item in items]
+    pool = _WORKERS.get(n)
+    return _gather([pool.submit(_inline_shards, fn, item) for item in items])

@@ -28,18 +28,21 @@ def softmax_np(s):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def mhsa_np(x, p, prefix, H):
-    D = x.shape[1]
-    d = D // H
-    q = x @ p[prefix + "attn.wq.weight"] + p[prefix + "attn.wq.bias"]
-    k = x @ p[prefix + "attn.wk.weight"] + p[prefix + "attn.wk.bias"]
-    v = x @ p[prefix + "attn.wv.weight"] + p[prefix + "attn.wv.bias"]
+def attention_np(q, k, v, H):
+    """softmax(Qi Ki^T / sqrt(d)) Vi per head, concatenated; (S, H*d) each."""
+    d = q.shape[1] // H
     outs = []
     for i in range(H):
         qi, ki, vi = (m[:, i * d : (i + 1) * d] for m in (q, k, v))
-        a = softmax_np(qi @ ki.T / np.sqrt(d))
-        outs.append(a @ vi)
-    return np.concatenate(outs, axis=1) @ p[prefix + "attn.wo.weight"] + p[
+        outs.append(softmax_np(qi @ ki.T / np.sqrt(d)) @ vi)
+    return np.concatenate(outs, axis=1)
+
+
+def mhsa_np(x, p, prefix, H):
+    q = x @ p[prefix + "attn.wq.weight"] + p[prefix + "attn.wq.bias"]
+    k = x @ p[prefix + "attn.wk.weight"] + p[prefix + "attn.wk.bias"]
+    v = x @ p[prefix + "attn.wv.weight"] + p[prefix + "attn.wv.bias"]
+    return attention_np(q, k, v, H) @ p[prefix + "attn.wo.weight"] + p[
         prefix + "attn.wo.bias"
     ]
 
@@ -154,3 +157,21 @@ def model_forward_np(features, p, config):
 
 def numpy_params(model):
     return {k: t.data.copy() for k, t in model.params.items()}
+
+
+def read_scores_lines(text):
+    """(id, score) pairs of an "id score" text read one line at a time, or
+    the 1-based number of its first non-empty line that is not one space
+    between an id and a float."""
+    pairs = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two fields")
+            pairs.append((parts[0], float(parts[1])))
+        except ValueError:
+            return lineno
+    return pairs

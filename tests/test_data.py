@@ -268,6 +268,13 @@ def test_fix_length_rejects_an_utterance_with_no_frames():
         list(batch_iter(utts, 2, target_T=4))
 
 
+def test_batch_iter_names_an_utterance_of_another_feature_dim():
+    utts = [Utterance(f"u{i}", np.zeros((4, 6)), "spoof") for i in range(4)]
+    utts[2].features = np.zeros((4, 5))
+    with pytest.raises(ConfigError, match="'u2': feature dim 5 differs from 6 of 'u0'"):
+        list(batch_iter(utts, 4, target_T=4))
+
+
 def test_batch_sizes():
     utts = [Utterance(f"u{i}", np.zeros((4, 2)), "bonafide") for i in range(7)]
     batches = list(batch_iter(utts, 3, target_T=4, seed=0))

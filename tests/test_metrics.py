@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as oc
 from tcmnet import tensor as tt
 from tcmnet.data import CorpusSpec, generate_corpus
 from tcmnet.metrics import (
@@ -247,6 +248,40 @@ def test_score_file_non_utf8_names_the_file(tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_score_file_bad_line_is_numbered_among_blank_lines(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("u1 0.5\n\nu2\nu3 0.25\n")
+    with pytest.raises(ScoreFileError, match=r"bad score line 3: 'u2'"):
+        read_scores(path)
+
+
+def test_score_file_reads_crlf_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(b"u1 0.5\r\n\r\nu2 -0.25\r\n")
+    assert read_scores(path) == [ScoreRecord("u1", 0.5), ScoreRecord("u2", -0.25)]
+
+
+score_texts = st.lists(
+    st.tuples(st.sampled_from(["u1", "LA_E_0000007", "", "a\tb"]),
+              st.sampled_from([" ", "", "  "]),
+              st.sampled_from(["0.5", "-1.25e3", "inf", " 2", "1_0", "x", ""])).map("".join),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_texts)
+def test_read_scores_matches_a_line_by_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("scores") / "scores.txt"
+    path.write_text(text, encoding="utf-8")
+    want = oc.read_scores_lines(text)
+    if isinstance(want, int):
+        with pytest.raises(ScoreFileError, match=f"bad score line {want}:"):
+            read_scores(path)
+    else:
+        assert [(r.id, r.score) for r in read_scores(path)] == want
+
+
 def test_score_file_large_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     records = [ScoreRecord(f"u{i}", round(float(rng.standard_normal()), 6))
@@ -330,6 +365,13 @@ def test_variable_mode_rejects_a_feature_dim_the_model_does_not_take():
     utts[1].features = np.zeros((utts[0].T, 5))
     with pytest.raises(ConfigError, match="feature dim 5 does not match config 6"):
         score_split(_tiny_model(), utts, mode="variable")
+
+
+def test_fixed_mode_names_an_utterance_of_another_feature_dim():
+    utts = _tiny_split(3)
+    utts[1].features = np.zeros((utts[1].T, 5))
+    with pytest.raises(ConfigError, match=f"{utts[1].id!r}: feature dim 5 differs from 6"):
+        score_split(_tiny_model(), utts, mode="fixed", target_T=9)
 
 
 def test_evaluate_matches_independent_pipeline(tmp_path):

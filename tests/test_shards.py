@@ -6,15 +6,17 @@ import os
 import re
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
+from tcmnet import metrics
 from tcmnet import tensor as tt
-from tcmnet.data import CorpusSpec, Utterance, generate_corpus
+from tcmnet.data import CorpusSpec, Utterance, fix_length, generate_corpus
 from tcmnet.experiments import VARIANTS
-from tcmnet.metrics import SCORE_CHUNK, score_split
+from tcmnet.metrics import score_split
 from tcmnet.model import DropoutCtx, Model, ModelConfig, TcmToggles
 from tcmnet.tensor import ConfigError, Tensor
 from tcmnet.train import AdamState, TrainConfig, train_epoch, validate
@@ -83,13 +85,24 @@ def test_shard_count_does_not_change_results(kind, monkeypatch, busy_threads):
 
 
 def _mixed_length_split():
-    """Shuffled utterances: one length seen once, one seen 35 times (a full
-    chunk plus 3), and a few lengths in between."""
-    lengths = [7] + [9] * (SCORE_CHUNK + 3) + [8, 8, 10, 10, 10, 11, 11]
+    """Shuffled utterances: one length seen once, one seen 35 times (a
+    remainder of 3 after chunks of 8 or of 32), and a few lengths in
+    between."""
+    lengths = [7] + [9] * 35 + [8, 8, 10, 10, 10, 11, 11]
     rng = np.random.default_rng(11)
     rng.shuffle(lengths)
     return [Utterance(f"u{i:02d}", rng.standard_normal((T, 6)), "spoof")
             for i, T in enumerate(lengths)]
+
+
+def _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want, **kw):
+    for chunk in (8, 32):
+        monkeypatch.setattr(metrics, "SCORE_CHUNK", chunk)
+        for n in (1, 2, 3):
+            _use_cpus(monkeypatch, n)
+            records = score_split(m, utts, **kw)
+            assert [r.id for r in records] == [u.id for u in utts], (chunk, n)
+            assert [r.score for r in records] == want, (chunk, n)
 
 
 @pytest.mark.parametrize("kind", ["conformer", "transformer"])
@@ -98,11 +111,66 @@ def test_variable_scoring_matches_forward_per_utterance(kind, monkeypatch, busy_
     m = Model(_config(kind, TcmToggles()), seed=12)
     want = [m.forward(u.features)[0] for u in utts]
     tt.reset_tape()
-    for n in (1, 2, 3):
-        _use_cpus(monkeypatch, n)
-        records = score_split(m, utts, mode="variable")
-        assert [r.id for r in records] == [u.id for u in utts], n
-        assert [r.score for r in records] == want, n
+    _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want, mode="variable")
+
+
+def test_fixed_scoring_matches_forward_per_utterance(monkeypatch, busy_threads):
+    utts = _mixed_length_split()
+    m = Model(_config("conformer", TcmToggles()), seed=15)
+    want = [m.forward(fix_length(u.features, 8))[0] for u in utts]
+    tt.reset_tape()
+    _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want,
+                                               mode="fixed", target_T=8)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_training_after_scoring_records_on_shard_tapes(n, monkeypatch):
+    _use_cpus(monkeypatch, n)
+    corpus = generate_corpus(CorpusSpec(n_train=6, n_dev=1, n_eval=20, feature_dim=6,
+                                        t_min=8, t_max=12, band_width=2, seg_len=4,
+                                        amplitude=2.0, seed=16))
+    m = Model(_config("conformer", TcmToggles()), seed=16)
+    for mode in ("fixed", "variable"):
+        score_split(m, corpus["eval"], mode=mode, target_T=10)
+    main = tt.active_tape()
+    seen = []
+    forward_batch = Model.forward_batch
+
+    def recording(self, *args, **kwargs):
+        out = forward_batch(self, *args, **kwargs)
+        tape = tt.active_tape()
+        seen.append((tape is not main, out.requires_grad, len(tape) > 0))
+        return out
+
+    monkeypatch.setattr(Model, "forward_batch", recording)
+    train_epoch(m, corpus["train"], TrainConfig(batch_size=6, target_T=10), 1,
+                AdamState(), [1.0, 1.0])
+    assert seen == [(True, True, True)] * n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_chunk_error_reaches_the_caller_after_every_chunk(n, monkeypatch):
+    _use_cpus(monkeypatch, n)
+    utts = _mixed_length_split()
+    m = Model(_config("transformer", TcmToggles()), seed=17)
+    score, done = Model.score, []
+
+    def first_chunk_fails(self, feats):
+        # the chunk that holds utts[0] is submitted first and fails at once
+        if feats.shape[1:] == utts[0].features.shape and np.array_equal(
+                feats[0], utts[0].features):
+            done.append(-len(feats))
+            raise ValueError("chunk failed")
+        time.sleep(0.01)
+        out = score(self, feats)
+        done.append(len(out))
+        return out
+
+    monkeypatch.setattr(Model, "score", first_chunk_fails)
+    with pytest.raises(ValueError, match="chunk failed"):
+        score_split(m, utts, mode="variable")
+    failed = [c for c in done if c < 0]
+    assert len(failed) == 1 and sum(c for c in done if c > 0) == len(utts) + failed[0]
 
 
 def test_score_takes_one_utterance_or_a_stack(monkeypatch):

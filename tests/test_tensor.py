@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles as oc
 from helpers import assert_grads_close, finite_diff
 from tcmnet import tensor as tt
 from tcmnet.tensor import ConfigError, ShapeError, Tensor
@@ -364,6 +365,46 @@ def test_mhsa_core_gradcheck():
     gradcheck(
         lambda lv: tt.sum_all(
             tt.mul(tt.mhsa_core(lv["q"], lv["k"], lv["v"], 2), lv["m"])
+        ),
+        arrs,
+    )
+
+
+@pytest.mark.parametrize("S", [1, 2, 37, 255])
+def test_mhsa_core_matches_softmax_attention_oracle(S):
+    rng = np.random.default_rng(S)
+    q, k, v = (rng.standard_normal((2, S, 6)) for _ in range(3))
+    with tt.no_grad():
+        got = tt.mhsa_core(Tensor(q), Tensor(k), Tensor(v), 2).data
+    for i in range(2):
+        want = oc.attention_np(q[i], k[i], v[i], 2)
+        assert np.allclose(got[i], want, rtol=0, atol=1e-13), i
+
+
+def test_mhsa_core_output_stable_at_logits_near_1000():
+    # d = 4: 1 / sqrt(d) is a power of two, and small-integer entries make
+    # every logit exact, so kernel and oracle see the same logits. Keys share
+    # a constant first column: query row r adds +-1000 to all its logits.
+    rng = np.random.default_rng(41)
+    S = 9
+    k = rng.integers(-3, 4, (S, 4)).astype(float)
+    k[:, 0] = 1.0
+    q = rng.integers(-3, 4, (S, 4)).astype(float)
+    q[:, 0] = np.where(np.arange(S) % 2, -2000.0, 2000.0)
+    v = rng.standard_normal((S, 4))
+    for grad in (False, True):
+        leaves = [Tensor(a, requires_grad=grad) for a in (q, k, v)]
+        got = tt.mhsa_core(*leaves, 1).data
+        assert np.allclose(got, oc.attention_np(q, k, v, 1), rtol=0, atol=1e-13), grad
+
+
+def test_mhsa_core_gradcheck_one_token():
+    # S = 1: every weight is exactly 1, so q and k get zero gradients
+    rng = np.random.default_rng(42)
+    arrs = {name: rng.standard_normal((2, 1, 6)) for name in ("q", "k", "v", "m")}
+    gradcheck(
+        lambda lv: tt.sum_all(
+            tt.mul(tt.mhsa_core(lv["q"], lv["k"], lv["v"], 3), lv["m"])
         ),
         arrs,
     )
