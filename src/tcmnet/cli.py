@@ -51,7 +51,10 @@ def _load_corpus_split(data_dir, split):
     split_dir = Path(data_dir) / split
     if not split_dir.is_dir():
         raise ConfigError(f"missing split directory {split_dir}")
-    return D.read_split(split_dir)
+    utts = D.read_split(split_dir)
+    if not utts:
+        raise ConfigError(f"split directory {split_dir} has no utterances")
+    return utts
 
 
 def cmd_train(args):

@@ -14,7 +14,7 @@ pre-norm Transformer encoder block.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,53 +90,39 @@ class DropoutCtx:
     """Counter-based deterministic dropout masks keyed by (seed, epoch, batch).
 
     Each mask draw bumps a layer counter, so reruns of the same step see
-    the same mask sequence regardless of platform.
+    the same mask sequence regardless of platform. A shard's context
+    (`rows`) draws only its rows of each full-batch mask: Philox is a
+    counter-based generator, so it jumps straight to the shard's first value.
     """
 
-    def __init__(self, p, seed, epoch=0, batch=0):
+    def __init__(self, p, seed, epoch=0, batch=0, lo=0):
         self.p = float(p)
         self.key = (int(seed), int(epoch), int(batch))
         self.counter = 0
-        self.drawn = []  # full-batch masks shared by row views, in draw order
-        self.lock = threading.Lock()
+        self.lo = lo  # batch row at which this context's masks start
 
     def mask(self, shape):
+        """Rows lo:lo+shape[0] of the next mask of the whole batch."""
         self.counter += 1
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(list(self.key) + [self.counter]))
-        )
-        keep = rng.random(shape) >= self.p
+        bits = np.random.Philox(np.random.SeedSequence(list(self.key) + [self.counter]))
+        skip = self.lo * math.prod(shape[1:])
+        bits.advance(skip // 4)  # one counter step yields four doubles
+        bits.random_raw(skip % 4)
+        keep = np.random.Generator(bits).random(shape) >= self.p
         return keep / (1.0 - self.p)
 
-    def rows(self, lo, hi, batch_size):
-        """Masks for rows lo:hi of a batch of `batch_size`, for one shard."""
-        return DropoutRows(self, lo, hi, batch_size)
+    def rows(self, lo):
+        """The masks of a shard whose rows start at batch row `lo`."""
+        return DropoutCtx(self.p, *self.key, lo=lo)
 
 
-class DropoutRows:
-    """A shard's view of a DropoutCtx: its i-th mask is rows lo:hi of the
-    context's i-th mask, drawn once at full-batch shape by whichever shard
-    needs it first, so every shard slices the one-thread mask sequence."""
-
-    def __init__(self, ctx, lo, hi, batch_size):
-        self.ctx, self.p = ctx, ctx.p
-        self.lo, self.hi, self.batch_size = lo, hi, batch_size
-        self.counter = 0
-
-    def mask(self, shape):
-        ctx = self.ctx
-        with ctx.lock:
-            if self.counter == len(ctx.drawn):
-                ctx.drawn.append(ctx.mask((self.batch_size,) + tuple(shape[1:])))
-            full = ctx.drawn[self.counter]
-        self.counter += 1
-        return full[self.lo : self.hi]
-
-
-def _dropout(x, ctx):
+def _dropout(x, ctx, rows=None):
+    """x times the next mask. A pruned x takes the leading rows of the mask
+    drawn for all `rows` rows, the one it would get without pruning."""
     if ctx is None or ctx.p == 0.0:
         return x
-    return tt.mul_const(x, ctx.mask(x.shape))
+    shape = x.shape if rows is None else x.shape[:-2] + (rows, x.shape[-1])
+    return tt.mul_const(x, ctx.mask(shape)[..., : x.shape[-2], :])
 
 
 class Model:
@@ -311,13 +297,13 @@ class Model:
         temporal, head_out = self.tcm_attention(seq, ht, prefix, trace=trace)
         return TokenSequence(self.enrich_cls(temporal, head_out, seq.T), seq.T)
 
-    def _ffn(self, x, prefix, half, drop):
+    def _ffn(self, x, prefix, half, drop, rows=None):
         c = self.config
         h = tt.layer_norm(x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"))
         h = tt.affine(h, self.p(prefix + "lin1.weight"), self.p(prefix + "lin1.bias"))
         h = tt.swish(h) if c.block_kind == "conformer" else tt.gelu(h)
         h = tt.affine(h, self.p(prefix + "lin2.weight"), self.p(prefix + "lin2.bias"))
-        h = _dropout(h, drop)
+        h = _dropout(h, drop, rows)
         return tt.add(x, tt.scale(h, 0.5) if half else h)
 
     def _conv_module(self, x, prefix, drop):
@@ -338,31 +324,41 @@ class Model:
         )
         return tt.add(x, h)
 
-    def conformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None):
+    def conformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
+                                cls_only=False):
+        """One block; `cls_only` computes only the CLS row after attention."""
         p = f"block{b}."
         x = self._ffn(seq.tokens, p + "ffn1.", half=True, drop=drop)
         h = tt.layer_norm(x, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta"))
         attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
         x = tt.add(x, _dropout(attn.tokens, drop))
+        if cls_only:  # the conv output's row 0 reads input rows 0..K//2
+            x = tt.slice_axis(x, -2, 0, self.config.conv_kernel // 2 + 1)
         x = self._conv_module(x, p, drop)
-        x = self._ffn(x, p + "ffn2.", half=True, drop=drop)
+        if cls_only:
+            x = tt.slice_axis(x, -2, 0, 1)
+        x = self._ffn(x, p + "ffn2.", half=True, drop=drop, rows=seq.T + 1)
         x = tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
-        return TokenSequence(x, seq.T)
+        return TokenSequence(x, 0 if cls_only else seq.T)
 
-    def transformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None):
+    def transformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
+                                  cls_only=False):
+        """One block; `cls_only` runs the FFN on the CLS row alone."""
         p = f"block{b}."
         h = tt.layer_norm(
             seq.tokens, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta")
         )
         attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
         x = tt.add(seq.tokens, _dropout(attn.tokens, drop))
-        x = self._ffn(x, p + "ffn.", half=False, drop=drop)
-        return TokenSequence(x, seq.T)
+        if cls_only:
+            x = tt.slice_axis(x, -2, 0, 1)
+        x = self._ffn(x, p + "ffn.", half=False, drop=drop, rows=seq.T + 1)
+        return TokenSequence(x, 0 if cls_only else seq.T)
 
-    def block_forward(self, seq, b, drop=None, trace=None):
-        if self.config.block_kind == "conformer":
-            return self.conformer_block_forward(seq, b, drop=drop, trace=trace)
-        return self.transformer_block_forward(seq, b, drop=drop, trace=trace)
+    def block_forward(self, seq, b, drop=None, trace=None, cls_only=False):
+        block = (self.conformer_block_forward if self.config.block_kind == "conformer"
+                 else self.transformer_block_forward)
+        return block(seq, b, drop=drop, trace=trace, cls_only=cls_only)
 
     def forward_batch(self, features, drop=None, trace=None):
         """(B, T, F) stacked same-length features -> (B, 2) logits."""
@@ -372,23 +368,22 @@ class Model:
         x = self.project_features(features if isinstance(features, Tensor)
                                   else Tensor(feats))
         seq = self.prepend_cls(x)
-        for b in range(self.config.blocks):
-            seq = self.block_forward(seq, b, drop=drop, trace=trace)
-        cls_row = tt.slice_axis(seq.tokens, -2, 0, 1)
-        out = tt.affine(cls_row, self.p("head.weight"), self.p("head.bias"))
+        last = self.config.blocks - 1
+        for b in range(self.config.blocks):  # the head reads only the CLS row
+            seq = self.block_forward(seq, b, drop=drop, trace=trace, cls_only=b == last)
+        out = tt.affine(seq.tokens, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
 
     def forward_sharded(self, features, drop=None):
         """forward_batch over row shards on worker threads (see
         tensor.shard_rows): the same (B, 2) logits and gradients, bit for bit."""
         feats = np.asarray(features)
-        B = len(feats)
 
         def rows(lo, hi):
-            shard_drop = None if drop is None else drop.rows(lo, hi, B)
+            shard_drop = None if drop is None else drop.rows(lo)
             return self.forward_batch(feats[lo:hi], drop=shard_drop)
 
-        return tt.shard_rows(rows, B)
+        return tt.shard_rows(rows, len(feats))
 
     def forward(self, features, drop=None, trace=None):
         """T x F features -> (score, logits), as a batch of one.

@@ -306,6 +306,8 @@ class TrainResult:
 
 def train(model: Model, train_utts, dev_utts, config: TrainConfig,
           config_echo=None, log_fn=None) -> TrainResult:
+    if not train_utts or not dev_utts:
+        raise ConfigError(f"the {'dev' if train_utts else 'train'} split has no utterances")
     echo = config_echo or {}
     weights = config.class_weights or inverse_frequency_weights(train_utts)
     state = AdamState()

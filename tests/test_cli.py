@@ -225,6 +225,21 @@ def test_eval_rejects_a_feature_file_with_no_frames(trained, tmp_path, capsys, m
     assert f"{second}: empty feature payload: dimensions 0 x 6 at offset" in err
 
 
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_rejects_an_empty_split(tiny_config, tmp_path, capsys, split):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir",
+                 str(data_dir)]) == 0
+    (data_dir / split / "protocol.txt").write_text("")
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                 "--out-dir", str(run_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: split directory {data_dir / split} has no utterances" in err
+    assert not run_dir.exists()
+
+
 def test_train_reports_non_finite_loss(tiny_config, tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(tiny_config), "--out-dir",

@@ -1,0 +1,69 @@
+"""scripts/compare_runs.py: pairs result rows by labels and seed."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+_spec = importlib.util.spec_from_file_location("compare_runs", _PATH)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+
+def _row(variant, seed, **report):
+    base = {"variant": variant, "seed": seed, "eer": 0.25, "threshold": 0.5,
+            "min_tdcf": None, "n_bona": 10, "n_spoof": 30, "val_loss": 0.6,
+            "epochs": 2, "elapsed": 12.0}
+    return {**base, **report}
+
+
+def _write(path, rows, key="runs"):
+    path.write_text(json.dumps({key: rows}))
+    return str(path)
+
+
+def _run(tmp_path, old, new, key="runs"):
+    return compare_runs.main([_write(tmp_path / "old.json", old, key),
+                              _write(tmp_path / "new.json", new, key)])
+
+
+def test_equal_rows_in_another_order_pass(tmp_path, capsys):
+    rows = [_row("tcm", 0), _row("baseline", 0), _row("tcm", 1)]
+    new = [dict(r, elapsed=99.0) for r in reversed(rows)]
+    assert _run(tmp_path, rows, new) == 0
+    assert capsys.readouterr().out == "3 runs paired, 0 fields differ\n"
+
+
+def test_a_differing_field_is_printed_but_only_eer_fails(tmp_path, capsys):
+    old = [_row("tcm", 0)]
+    assert _run(tmp_path, old, [_row("tcm", 0, val_loss=0.5)]) == 0
+    out = capsys.readouterr().out
+    assert "seed=0 variant=tcm val_loss: 0.6 -> 0.5" in out
+    assert "abs -0.1, rel -0.167" in out and "1 fields differ" in out
+    assert _run(tmp_path, old, [_row("tcm", 0, eer=0.3)]) == 1
+    assert "eer: 0.25 -> 0.3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("new", [
+    [_row("tcm", 1)],                   # another seed
+    [_row("tcm", 0), _row("tcm", 0)],   # the same run twice
+    [],
+])
+def test_rows_that_do_not_pair_fail(tmp_path, new):
+    assert _run(tmp_path, [_row("tcm", 0)], new) == 1
+
+
+def test_sweep_rows_pair_by_every_label(tmp_path, capsys):
+    old = [{"heads": h, "use_tcm": u, "seed": 0, "eer": 0.2, "elapsed": 1.0}
+           for h in (2, 4) for u in (False, True)]
+    assert _run(tmp_path, old, old[::-1], key="rows") == 0
+    assert "4 runs paired" in capsys.readouterr().out
+
+
+def test_a_file_without_rows_is_an_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"median_eer": {}}))
+    with pytest.raises(SystemExit, match="no 'runs' or 'rows' list"):
+        compare_runs.main([str(bad), str(bad)])

@@ -4,6 +4,9 @@ import pytest
 import oracles as oc
 from helpers import assert_grads_close, finite_diff
 from tcmnet import tensor as tt
+from tcmnet.data import Utterance
+from tcmnet.experiments import VARIANTS
+from tcmnet.metrics import score_split
 from tcmnet.model import (
     DropoutCtx,
     Model,
@@ -485,3 +488,74 @@ def test_forward_batch_gradients_match_summed_per_utterance():
     for k, t in m.params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
         assert np.allclose(batched[k], g, atol=1e-10), k
+
+
+# ---------------------------------------------------------------------------
+# the last block computes only the CLS row after attention
+
+
+def _pruning_lengths(K):
+    """T around the conv window K//2 + 1 that the pruned last block keeps."""
+    return sorted({T for T in (1, K // 2 - 1, K // 2, K // 2 + 1, 3 * K) if T >= 1})
+
+
+@pytest.mark.parametrize("K", [3, 15])
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_pruned_forward_batch_matches_full_row_oracle(kind, K):
+    rng = np.random.default_rng(K)
+    for name, toggles in VARIANTS:
+        m = Model(small_config(blocks=2, block_kind=kind, conv_kernel=K,
+                               positional_encoding="sinusoidal", toggles=toggles),
+                  seed=K)
+        p = oc.numpy_params(m)
+        for T in _pruning_lengths(K):
+            for B in (1, 3):
+                feats = rng.standard_normal((B, T, 6))
+                got = m.forward_batch(feats).data
+                for i in range(B):
+                    _, want = oc.model_forward_np(feats[i], p, m.config)
+                    assert np.max(np.abs(got[i] - want)) < 1e-12, (name, T, B, i)
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_pruned_forward_draws_the_full_row_dropout_masks(kind):
+    m = Model(small_config(blocks=2, block_kind=kind, conv_kernel=5, dropout=0.3), seed=38)
+    feats = np.random.default_rng(38).standard_normal((3, 6, 6))
+    got = m.forward_batch(feats, drop=DropoutCtx(0.3, 38)).data
+    drop = DropoutCtx(0.3, 38)
+    seq = m.prepend_cls(m.project_features(feats))
+    for b in range(2):
+        seq = m.block_forward(seq, b, drop=drop)  # every row
+    want = seq.tokens.data[:, 0] @ m.p("head.weight").data + m.p("head.bias").data
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_pruned_forward_gradients_match_finite_differences_when_T_is_short(kind):
+    # T < K//2: the pruned conv window is longer than the sequence
+    m = Model(small_config(blocks=2, block_kind=kind, conv_kernel=7, ffn_expansion=2),
+              seed=35)
+    feats = np.random.default_rng(35).standard_normal((2, 2, 6))
+    w = Tensor(np.random.default_rng(36).standard_normal((2, 2)))
+    m.zero_grads()
+    tt.backward(tt.sum_all(tt.mul(m.forward_batch(feats), w)))
+    analytic = {k: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+                for k, t in m.params.items()}
+
+    def f():
+        with tt.no_grad():
+            return float((m.forward_batch(feats).data * w.data).sum())
+
+    numeric = finite_diff(f, {k: t.data for k, t in m.params.items()})
+    assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7, label=f"{kind}: ")
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_variable_mode_score_equals_forward_bit_for_bit(kind):
+    m = Model(small_config(blocks=2, block_kind=kind, conv_kernel=15), seed=37)
+    rng = np.random.default_rng(37)
+    utts = [Utterance(f"u{i:02d}", rng.standard_normal((T, 6)), "spoof")
+            for i, T in enumerate(_pruning_lengths(15) * 3)]
+    want = [m.forward(u.features)[0] for u in utts]
+    tt.reset_tape()
+    assert [r.score for r in score_split(m, utts, mode="variable")] == want

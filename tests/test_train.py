@@ -16,7 +16,7 @@ from tcmnet.data import (
     write_features,
 )
 from tcmnet.model import Model, ModelConfig
-from tcmnet.tensor import Tensor
+from tcmnet.tensor import ConfigError, Tensor
 from tcmnet.train import (
     AdamState,
     Checkpoint,
@@ -208,6 +208,17 @@ def test_non_finite_gradient_names_parameter_epoch_and_batch():
     params["b"].grad = np.array([np.inf, 1.0])
     with pytest.raises(NonFiniteError, match="gradient for b at epoch 3, batch 7$"):
         _check_finite(Tensor(0.5), params, 3, 7)
+
+
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_train_refuses_an_empty_split_before_the_first_step(empty):
+    corpus = tiny_corpus()
+    corpus[empty] = []
+    model = tiny_model()
+    before = {k: t.data.copy() for k, t in model.params.items()}
+    with pytest.raises(ConfigError, match=f"the {empty} split has no utterances"):
+        train(model, corpus["train"], corpus["dev"], tiny_train_config())
+    assert all(np.array_equal(t.data, before[k]) for k, t in model.params.items())
 
 
 def test_training_bit_reproducible():
