@@ -129,7 +129,9 @@ def cmd_eval(args):
         target_T=tconf.target_T, protocol=protocol,
     )
     weights = tconf.class_weights or TR.inverse_frequency_weights(utts)
-    report["mean_loss"] = TR.validate(model, utts, tconf, weights)
+    labels = dict(protocol)
+    report["mean_loss"] = TR.score_loss([r.score for r in records],
+                                        [TR.LABEL_INDEX[labels[r.id]] for r in records], weights)
     report["mode"] = mode
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,14 +1,18 @@
 """Run configuration: one JSON document covering corpus, model, training,
-evaluation and t-DCF costs, with full key validation and --set overrides.
+evaluation and t-DCF costs, with full key and type validation and --set
+overrides.
 
-Unknown keys are rejected; every CLI command writes the fully resolved
-document back out so a run can be reproduced from its echo alone.
+The keys of each section are the fields of the dataclass it builds, and
+each value must have its field's type. Unknown keys are rejected; every
+CLI command writes the fully resolved document back out so a run can be
+reproduced from its echo alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .data import CorpusSpec
@@ -17,32 +21,42 @@ from .model import ModelConfig, TcmToggles
 from .tensor import ConfigError
 from .train import TrainConfig
 
-_TOGGLE_KEYS = {
-    "use_tcm", "ht_embedding", "ht_in_mhsa", "add_mean_ht_to_cls",
-    "add_mean_tt_to_cls",
+
+def _field_types(cls, skip=()):
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+# section -> key -> field type, from the dataclass each section builds;
+# model.toggles is a section of its own inside model
+_TYPES = {
+    "corpus": _field_types(CorpusSpec),
+    "model": dict(_field_types(ModelConfig, skip={"feature_dim"}),
+                  toggles=_field_types(TcmToggles)),
+    "train": _field_types(TrainConfig),
+    "tdcf": _field_types(TdcfCosts),
+    "eval": {"mode": str},
 }
-_SCHEMA = {
-    "corpus": {
-        "n_train", "n_dev", "n_eval", "feature_dim", "t_min", "t_max",
-        "band_width", "seg_len", "amplitude", "ar_coeff", "noise_scale",
-        "spoof_fraction", "seed", "pattern_seed",
-    },
-    "model": {
-        "dim", "heads", "blocks", "block_kind", "conv_kernel",
-        "ffn_expansion", "dropout", "positional_encoding", "toggles",
-    },
-    "train": {
-        "lr", "weight_decay", "batch_size", "class_weights", "patience",
-        "max_epochs", "top_k_average", "seed", "target_T",
-    },
-    "tdcf": {"c0", "c1", "c2"},
-    "eval": {"mode"},
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field type -> (accepts a JSON value, what it wants); bool is not an int
+_CHECKS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list | None: (lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+                  "null or a list of numbers"),
 }
 
 
 class RunConfig:
     def __init__(self, doc: dict):
-        _validate_keys(doc)
+        _validate(doc, _TYPES)
         self.doc = doc
 
     @classmethod
@@ -60,10 +74,13 @@ class RunConfig:
     def corpus_spec(self) -> CorpusSpec:
         return CorpusSpec(**self.doc.get("corpus", {}))
 
-    def model_config(self, feature_dim, **changes) -> ModelConfig:
+    def _model_section(self, **changes):
         section = dict(self.doc.get("model", {}), **changes)
-        toggles = TcmToggles(**section.pop("toggles", {}))
-        return ModelConfig(feature_dim=feature_dim, toggles=toggles, **section)
+        section["toggles"] = TcmToggles(**section.get("toggles", {}))
+        return section
+
+    def model_config(self, feature_dim, **changes) -> ModelConfig:
+        return ModelConfig(feature_dim=feature_dim, **self._model_section(**changes))
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self.doc.get("train", {}))
@@ -84,9 +101,8 @@ class RunConfig:
             "train": asdict(self.train_config()),
             "eval": {"mode": self.eval_mode()},
         }
-        section = dict(self.doc.get("model", {}))
-        toggles = TcmToggles(**section.pop("toggles", {}))
-        out["model"] = dict(section, toggles=asdict(toggles))
+        section = self._model_section()
+        out["model"] = dict(section, toggles=asdict(section["toggles"]))
         costs = self.tdcf_costs()
         if costs is not None:
             out["tdcf"] = asdict(costs)
@@ -99,21 +115,19 @@ class RunConfig:
         )
 
 
-def _validate_keys(doc):
-    for section, body in doc.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, value in body.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key!r}")
-            if section == "model" and key == "toggles":
-                if not isinstance(value, dict):
-                    raise ConfigError("model.toggles must be an object")
-                for tk in value:
-                    if tk not in _TOGGLE_KEYS:
-                        raise ConfigError(f"unknown toggle {tk!r}")
+def _validate(body, types, where=None):
+    if not isinstance(body, dict):
+        raise ConfigError(f"config {where} must be an object")
+    for key, value in body.items():
+        name = key if where is None else f"{where}.{key}"
+        if key not in types:
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(types[key], dict):
+            _validate(value, types[key], name)
+            continue
+        accepts, wanted = _CHECKS[types[key]]
+        if not accepts(value):
+            raise ConfigError(f"config key {name} must be {wanted}, got {value!r}")
 
 
 def apply_override(doc, item):
@@ -135,5 +149,5 @@ def apply_override(doc, item):
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-object")
     node[parts[-1]] = value
-    _validate_keys(doc)
+    _validate(doc, _TYPES)
     return doc

@@ -376,7 +376,8 @@ class Model:
 
     def forward_sharded(self, features, drop=None):
         """forward_batch over row shards on worker threads (see
-        tensor.shard_rows): the same (B, 2) logits and gradients, bit for bit."""
+        tensor.shard_rows): the same (B, 2) logits and gradients, bit for bit.
+        Training steps run this way; no-grad scoring does not."""
         feats = np.asarray(features)
 
         def rows(lo, hi):
@@ -397,35 +398,31 @@ class Model:
 
     def score(self, features):
         """T x F features -> score; B x T x F -> list of B scores. Runs
-        without a tape, through forward_sharded."""
+        without a tape, on the calling thread: no-grad work is spread over
+        the workers a whole chunk at a time (metrics.score_split)."""
         feats = np.asarray(features)
         if feats.ndim not in (2, 3):
             raise ConfigError(f"expected T x F or B x T x F features, got {feats.shape}")
         with tt.no_grad():
-            logits = self.forward_sharded(feats if feats.ndim == 3 else feats[None]).data
+            logits = self.forward_batch(feats if feats.ndim == 3 else feats[None]).data
         scores = (logits[:, 0] - logits[:, 1]).tolist()
         return scores if feats.ndim == 3 else scores[0]
 
 
-def tcm_param_delta(config: ModelConfig, respect_toggles=False):
-    """Parameter count added by the temporal-channel module over plain MHSA.
-
-    Full module: blocks * (head_dim*dim + dim + heads*dim) — the shared
-    d->D projection with bias plus the (H x D) head token embedding.
+def tcm_param_delta(config: ModelConfig):
+    """Parameter count the full temporal-channel module adds over plain MHSA:
+    blocks * (head_dim*dim + dim + heads*dim) — the shared d->D projection
+    with bias plus the (H x D) head token embedding.
     """
     c = config
-    if respect_toggles and not c.toggles.use_tcm:
-        return 0
-    delta = c.head_dim * c.dim + c.dim
-    if not respect_toggles or c.toggles.ht_embedding:
-        delta += c.heads * c.dim
-    return c.blocks * delta
+    return c.blocks * (c.head_dim * c.dim + c.dim + c.heads * c.dim)
 
 
 def param_count(model: Model):
-    """(total learnable scalars, parameter delta of the current TCM toggles)."""
+    """(total learnable scalars, those of the TCM as toggled: its `.tcm.`
+    parameters)."""
     total = sum(t.size for t in model.params.values())
-    return total, tcm_param_delta(model.config, respect_toggles=True)
+    return total, sum(t.size for name, t in model.params.items() if ".tcm." in name)
 
 
 def with_toggles(config: ModelConfig, **kw):

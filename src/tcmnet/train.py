@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tt
-from .data import FieldReader, batch_iter, fix_length
+from .data import LABELS, FieldReader, batch_iter
+from .metrics import score_split
 from .model import DropoutCtx, Model
 from .tensor import ConfigError, Tensor
 
@@ -52,17 +53,12 @@ class TrainConfig:
                 raise ConfigError("class_weights must be two positive floats")
 
 
-LABEL_INDEX = {"bonafide": 0, "spoof": 1}
+LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
 def inverse_frequency_weights(utts):
-    counts = np.array(
-        [
-            sum(1 for u in utts if u.label == "bonafide"),
-            sum(1 for u in utts if u.label == "spoof"),
-        ],
-        dtype=float,
-    )
+    counts = np.array([sum(1 for u in utts if u.label == lab) for lab in LABELS],
+                      dtype=float)
     if counts.min() == 0:
         return [1.0, 1.0]
     return list(len(utts) / (2.0 * counts))
@@ -78,6 +74,16 @@ def weighted_cross_entropy(logits: Tensor, labels, class_weights):
             raise ConfigError(f"labels must be 0 or 1, got {lab}")
         pick[i, lab] = class_weights[lab]
     return tt.scale(tt.sum_all(tt.mul_const(lsm, pick)), -1.0 / B)
+
+
+def score_loss(scores, labels, class_weights):
+    """weighted_cross_entropy of the logits (s, 0) for scores s = l0 - l1.
+    Log-softmax is shift-invariant, so each row's loss equals the one from
+    the model's own logits (l0, l1), bit for bit."""
+    logits = np.zeros((len(scores), 2))
+    logits[:, 0] = scores
+    with tt.no_grad():
+        return weighted_cross_entropy(Tensor(logits), labels, class_weights).item()
 
 
 @dataclass
@@ -108,9 +114,9 @@ def adam_step(params, state: AdamState, lr, weight_decay=0.0,
         p.data -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def batch_logits(model, dense_features, drop=None):
-    """(B, 2) logits for a list of same-length feature matrices."""
-    return model.forward_sharded(np.stack(dense_features), drop=drop)
+def batch_logits(model, features, drop=None):
+    """(B, 2) logits for a B x T x F feature array, in row shards."""
+    return model.forward_sharded(features, drop=drop)
 
 
 def _check_finite(loss, params, epoch, batch):
@@ -156,20 +162,11 @@ def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
 
 
 def validate(model: Model, dev_utts, config: TrainConfig, class_weights):
-    """Mean weighted CE on the dev split; no mutation, no dropout."""
-    total = 0.0
-    chunk = config.batch_size
-    with tt.no_grad():
-        for lo in range(0, len(dev_utts), chunk):
-            part = dev_utts[lo : lo + chunk]
-            logits = batch_logits(
-                model, [fix_length(u.features, config.target_T) for u in part]
-            )
-            loss = weighted_cross_entropy(
-                logits, [LABEL_INDEX[u.label] for u in part], class_weights
-            )
-            total += loss.item() * len(part)
-    return total / len(dev_utts)
+    """Mean weighted CE on the dev split, from its fixed-mode scores
+    (metrics.score_split); no mutation, no dropout."""
+    records = score_split(model, dev_utts, "fixed", config.target_T)
+    return score_loss([r.score for r in records],
+                      [LABEL_INDEX[u.label] for u in dev_utts], class_weights)
 
 
 def early_stop(history, patience):

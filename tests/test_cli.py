@@ -8,6 +8,7 @@ from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
 from tcmnet.data import SPLITS, read_features, read_split, write_features
 from tcmnet.experiments import VARIANTS, run_variant
+from tcmnet.model import Model
 from tcmnet.tensor import ConfigError
 from tcmnet.train import load_checkpoint
 
@@ -76,6 +77,33 @@ def test_config_overrides():
         apply_override(doc, "nonsense")
     with pytest.raises(ConfigError):
         apply_override(doc, "model.bogus=1")
+
+
+@pytest.mark.parametrize("override", ["corpus.n_train=abc", "model.dim=8.0",
+                                      "model.heads=true", "corpus.feature_dim=6.5"])
+def test_a_value_of_the_wrong_type_names_its_key(tiny_config, capsys, override):
+    key = override.split("=")[0]
+    assert main(["params", "--config", str(tiny_config), "--set", override]) == 1
+    assert f"error: config key {key} must be an integer, got" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=key):
+        apply_override({}, override)
+
+
+def test_config_value_types():
+    ok = {"train": {"lr": 1, "class_weights": [1, 2.5]},
+          "model": {"dropout": 0, "toggles": {"use_tcm": False}},
+          "corpus": {"amplitude": 2}, "eval": {"mode": "variable"}}
+    RunConfig(ok)
+    for section, key, value in [
+        ("train", "class_weights", [1.0, True]), ("train", "class_weights", 2.0),
+        ("train", "class_weights", "1,1"), ("train", "seed", False),
+        ("train", "lr", "0.1"), ("model", "block_kind", 1), ("eval", "mode", None),
+        ("tdcf", "c1", [1.0]),
+    ]:
+        with pytest.raises(ConfigError, match=f"config key {section}.{key} must be"):
+            RunConfig({section: {key: value}})
+    with pytest.raises(ConfigError, match="model.toggles.ht_in_mhsa must be true or false"):
+        RunConfig({"model": {"toggles": {"ht_in_mhsa": 0}}})
 
 
 def test_gen_data_deterministic_and_force(tiny_config, tmp_path):
@@ -175,6 +203,22 @@ def test_eval_reproduces_logged_val_loss(trained, tmp_path):
                  "--split", "dev", "--mode", "fixed"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["mean_loss"] == pytest.approx(last["val_loss"], abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_eval_runs_the_model_once_per_utterance(trained, tmp_path, monkeypatch, mode):
+    _, data_dir, run_dir = trained
+    forward_batch, rows = Model.forward_batch, []
+
+    def counting(self, features, *args, **kwargs):
+        rows.append(len(features))
+        return forward_batch(self, features, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_batch", counting)
+    assert main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "e"),
+                 "--mode", mode]) == 0
+    assert sum(rows) == 8
 
 
 def test_eval_rejects_empty_protocol(trained, tmp_path, capsys):

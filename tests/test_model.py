@@ -370,9 +370,8 @@ def test_param_delta_formula_cases():
 
 def test_param_delta_embedding_toggle():
     cfg = small_config(blocks=2)
-    off = with_toggles(cfg, ht_embedding=False)
-    full = tcm_param_delta(cfg, respect_toggles=True)
-    reduced = tcm_param_delta(off, respect_toggles=True)
+    _, full = param_count(Model(cfg, seed=0))
+    _, reduced = param_count(Model(with_toggles(cfg, ht_embedding=False), seed=0))
     assert full - reduced == cfg.blocks * cfg.heads * cfg.dim
 
 

@@ -11,10 +11,12 @@ from tcmnet.data import (
     FormatError,
     Utterance,
     batch_iter,
+    fix_length,
     generate_corpus,
     read_features,
     write_features,
 )
+from tcmnet.metrics import score_split
 from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import ConfigError, Tensor
 from tcmnet.train import (
@@ -32,6 +34,7 @@ from tcmnet.train import (
     load_checkpoint,
     load_into_model,
     save_checkpoint,
+    score_loss,
     train,
     train_epoch,
     validate,
@@ -268,6 +271,39 @@ def test_validate_random_model_near_ln2():
     cfg = tiny_train_config()
     loss = validate(model, corpus["dev"], cfg, [1.0, 1.0])
     assert loss == pytest.approx(np.log(2.0), abs=1e-9)
+
+
+def test_score_loss_rows_equal_the_model_logits_loss_bit_for_bit():
+    model = tiny_model(seed=5)
+    feats = np.stack([fix_length(u.features, 10) for u in tiny_corpus(n_dev=9)["dev"]])
+    with tt.no_grad():
+        model_logits = model.forward_batch(feats).data
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-3, 7, (300, 1))
+    pairs[:20, 1] = pairs[:20, 0]  # ties
+    for logits in (model_logits, pairs):
+        lsm = tt.log_softmax_rows(Tensor(logits)).data
+        for (l0, l1), row in zip(logits, lsm):
+            for label, w in ((0, 1.0), (1, 1.0), (0, 0.7), (1, 2.5)):
+                got = score_loss([l0 - l1], [label], [w, w])
+                assert got == -(w * row[label])
+
+
+def test_validate_is_the_score_loss_of_the_fixed_mode_scores():
+    corpus = tiny_corpus(n_dev=11)
+    model = tiny_model(seed=2)
+    cfg = tiny_train_config(target_T=9)
+    records = score_split(model, corpus["dev"], "fixed", 9)
+    labels = [0 if u.label == "bonafide" else 1 for u in corpus["dev"]]
+    want = score_loss([r.score for r in records], labels, [0.8, 1.3])
+    assert validate(model, corpus["dev"], cfg, [0.8, 1.3]) == want
+
+
+def test_validate_names_an_utterance_of_another_feature_dim():
+    dev = tiny_corpus()["dev"]
+    dev[2] = Utterance(dev[2].id, dev[2].features[:, :5], dev[2].label)
+    with pytest.raises(ConfigError, match=f"utterance {dev[2].id!r}: feature dim 5"):
+        validate(tiny_model(), dev, tiny_train_config(), [1.0, 1.0])
 
 
 def test_inverse_frequency_weights():
