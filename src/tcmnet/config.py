@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .data import CorpusSpec
@@ -101,8 +101,12 @@ class RunConfig:
             "train": asdict(self.train_config()),
             "eval": {"mode": self.eval_mode()},
         }
+        # ModelConfig's defaults, not a ModelConfig: it needs feature_dim
+        # from the data, and sweep-heads overrides heads per row
         section = self._model_section()
-        out["model"] = dict(section, toggles=asdict(section["toggles"]))
+        out["model"] = {f.name: f.default for f in fields(ModelConfig)
+                        if f.default is not MISSING}
+        out["model"].update(section, toggles=asdict(section["toggles"]))
         costs = self.tdcf_costs()
         if costs is not None:
             out["tdcf"] = asdict(costs)

@@ -14,7 +14,6 @@ pre-norm Transformer encoder block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,8 +90,9 @@ class DropoutCtx:
 
     Each mask draw bumps a layer counter, so reruns of the same step see
     the same mask sequence regardless of platform. A shard's context
-    (`rows`) draws only its rows of each full-batch mask: Philox is a
-    counter-based generator, so it jumps straight to the shard's first value.
+    (`rows`) draws only its rows of each full-batch mask, and a pruned
+    block's mask only the leading rows of each utterance: Philox is a
+    counter-based generator, so it jumps straight to each run of values.
     """
 
     def __init__(self, p, seed, epoch=0, batch=0, lo=0):
@@ -100,15 +100,26 @@ class DropoutCtx:
         self.key = (int(seed), int(epoch), int(batch))
         self.counter = 0
         self.lo = lo  # batch row at which this context's masks start
+        self.tokens = None  # rows per utterance of every mask (forward_batch sets it)
 
     def mask(self, shape):
-        """Rows lo:lo+shape[0] of the next mask of the whole batch."""
+        """Batch rows lo:lo+B of the next mask of the whole batch, for a
+        B x r x D `shape`: the leading r of each utterance's `tokens` rows
+        (all r rows when `tokens` is unset)."""
         self.counter += 1
         bits = np.random.Philox(np.random.SeedSequence(list(self.key) + [self.counter]))
-        skip = self.lo * math.prod(shape[1:])
-        bits.advance(skip // 4)  # one counter step yields four doubles
-        bits.random_raw(skip % 4)
-        keep = np.random.Generator(bits).random(shape) >= self.p
+        gen = np.random.Generator(bits)
+        B, r, D = shape
+        rows = self.tokens or r
+        u = np.empty(shape)
+        runs = u.reshape(1, -1) if rows == r else u.reshape(B, -1)
+        pos = 0  # values of the stream drawn so far
+        for i, run in enumerate(runs):
+            start = (self.lo + i) * rows * D
+            _seek(bits, pos, start)
+            gen.random(out=run)
+            pos = start + run.size
+        keep = u >= self.p
         return keep / (1.0 - self.p)
 
     def rows(self, lo):
@@ -116,13 +127,23 @@ class DropoutCtx:
         return DropoutCtx(self.p, *self.key, lo=lo)
 
 
-def _dropout(x, ctx, rows=None):
-    """x times the next mask. A pruned x takes the leading rows of the mask
-    drawn for all `rows` rows, the one it would get without pruning."""
+def _seek(bits, pos, start):
+    """Move a Philox stream from value `pos` on to value `start` >= pos. One
+    counter step yields four values, and advancing drops the buffered ones."""
+    steps = start // 4 - -(-pos // 4)
+    if steps < 0:  # start lies in the buffered block
+        bits.random_raw(start - pos)
+    else:
+        bits.advance(steps)
+        bits.random_raw(start % 4)
+
+
+def _dropout(x, ctx):
+    """x times the next mask. A pruned x, holding the leading rows of each
+    utterance, takes those rows of the mask it would get without pruning."""
     if ctx is None or ctx.p == 0.0:
         return x
-    shape = x.shape if rows is None else x.shape[:-2] + (rows, x.shape[-1])
-    return tt.mul_const(x, ctx.mask(shape)[..., : x.shape[-2], :])
+    return tt.mul_const(x, ctx.mask(x.shape))
 
 
 class Model:
@@ -233,10 +254,12 @@ class Model:
         cls_rows = tt.expand(self.p("cls"), x.shape[:-2] + (1, self.config.dim))
         return TokenSequence(tt.concat([cls_rows, x], axis=-2), T=x.shape[-2])
 
-    def _mhsa(self, x, prefix, trace=None):
-        """Standard multi-head attention over an S x D sequence."""
+    def _mhsa(self, x, prefix, trace=None, rows=None):
+        """Standard multi-head attention over an S x D sequence; with `rows`,
+        for its leading query rows only."""
         c = self.config
-        q = tt.affine(x, self.p(prefix + "attn.wq.weight"), self.p(prefix + "attn.wq.bias"))
+        xq = x if rows is None else tt.slice_axis(x, -2, 0, rows)
+        q = tt.affine(xq, self.p(prefix + "attn.wq.weight"), self.p(prefix + "attn.wq.bias"))
         k = tt.affine(x, self.p(prefix + "attn.wk.weight"), self.p(prefix + "attn.wk.bias"))
         v = tt.affine(x, self.p(prefix + "attn.wv.weight"), self.p(prefix + "attn.wv.bias"))
         cat = tt.mhsa_core(q, k, v, c.heads, trace=trace)
@@ -259,24 +282,29 @@ class Model:
             ht = tt.add(ht, self.p(prefix + "tcm.head_token_embedding"))
         return ht
 
-    def tcm_attention(self, seq: TokenSequence, head_tokens, prefix, trace=None):
-        """Attend over T+H+1 tokens (head tokens appended) and split back."""
+    def tcm_attention(self, seq: TokenSequence, head_tokens, prefix, trace=None,
+                      rows=None):
+        """Attend over T+H+1 tokens (head tokens appended) and split back.
+        `rows` (at most T+1) computes only the leading temporal query rows,
+        and no head token outputs."""
         c = self.config
         n_temporal = seq.T + 1
-        if c.toggles.ht_in_mhsa:
-            joint = tt.concat([seq.tokens, head_tokens], axis=-2)
-            out = self._mhsa(joint, prefix, trace=trace)
-            temporal = tt.slice_axis(out, -2, 0, n_temporal)
-            head_out = tt.slice_axis(out, -2, n_temporal, n_temporal + c.heads)
-        else:
-            temporal = self._mhsa(seq.tokens, prefix, trace=trace)
-            head_out = head_tokens
+        if not c.toggles.ht_in_mhsa:
+            return self._mhsa(seq.tokens, prefix, trace=trace, rows=rows), head_tokens
+        joint = tt.concat([seq.tokens, head_tokens], axis=-2)
+        out = self._mhsa(joint, prefix, trace=trace, rows=rows)
+        if rows is not None:
+            return out, None
+        temporal = tt.slice_axis(out, -2, 0, n_temporal)
+        head_out = tt.slice_axis(out, -2, n_temporal, n_temporal + c.heads)
         return temporal, head_out
 
     def enrich_cls(self, temporal, head_out, T):
         """CLS' = CLS + mean head token + mean temporal token, per toggles."""
         c = self.config
         tg = c.toggles
+        if not (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls):
+            return temporal
         cls_row = tt.slice_axis(temporal, -2, 0, 1)
         rest = tt.slice_axis(temporal, -2, 1, T + 1)
         if tg.add_mean_ht_to_cls:
@@ -289,21 +317,24 @@ class Model:
                 cls_row, tt.reshape(mean_tt, mean_tt.shape[:-1] + (1, c.dim)))
         return tt.concat([cls_row, rest], axis=-2)
 
-    def tcm_forward(self, seq: TokenSequence, prefix, trace=None):
-        """Attention sub-module: plain MHSA or the temporal-channel variant."""
+    def tcm_forward(self, seq: TokenSequence, prefix, trace=None, rows=None):
+        """Attention sub-module: plain MHSA or the temporal-channel variant.
+        `rows` computes only the leading query rows; the CLS enrichments
+        read every row, so they must be off."""
         if not self.config.toggles.use_tcm:
-            return TokenSequence(self._mhsa(seq.tokens, prefix, trace=trace), seq.T)
+            return TokenSequence(self._mhsa(seq.tokens, prefix, trace=trace, rows=rows),
+                                 seq.T)
         ht = self.generate_head_tokens(seq, prefix)
-        temporal, head_out = self.tcm_attention(seq, ht, prefix, trace=trace)
+        temporal, head_out = self.tcm_attention(seq, ht, prefix, trace=trace, rows=rows)
         return TokenSequence(self.enrich_cls(temporal, head_out, seq.T), seq.T)
 
-    def _ffn(self, x, prefix, half, drop, rows=None):
+    def _ffn(self, x, prefix, half, drop):
         c = self.config
         h = tt.layer_norm(x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"))
         h = tt.affine(h, self.p(prefix + "lin1.weight"), self.p(prefix + "lin1.bias"))
         h = tt.swish(h) if c.block_kind == "conformer" else tt.gelu(h)
         h = tt.affine(h, self.p(prefix + "lin2.weight"), self.p(prefix + "lin2.bias"))
-        h = _dropout(h, drop, rows)
+        h = _dropout(h, drop)
         return tt.add(x, tt.scale(h, 0.5) if half else h)
 
     def _conv_module(self, x, prefix, drop):
@@ -324,20 +355,35 @@ class Model:
         )
         return tt.add(x, h)
 
+    def _attention_residual(self, x, T, prefix, drop, trace, rows=None):
+        """x + dropout(attention(layer_norm(x))), at x's leading `rows` rows
+        only when `rows` is given. The attention then computes only those
+        query rows too, unless a CLS enrichment reads the others or a trace
+        asks for every row's weights."""
+        tg = self.config.toggles
+        enriched = tg.use_tcm and (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls)
+        query_rows = None if enriched or trace is not None else rows
+        h = tt.layer_norm(x, self.p(prefix + "ln_attn.gamma"), self.p(prefix + "ln_attn.beta"))
+        attn = self.tcm_forward(TokenSequence(h, T), prefix, trace=trace,
+                                rows=query_rows).tokens
+        if rows is not None:
+            x = tt.slice_axis(x, -2, 0, rows)
+            if query_rows is None:
+                attn = tt.slice_axis(attn, -2, 0, rows)
+        return tt.add(x, _dropout(attn, drop))
+
     def conformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
                                 cls_only=False):
-        """One block; `cls_only` computes only the CLS row after attention."""
+        """One block; `cls_only` computes only the CLS row after attention:
+        the conv output's row 0 reads input rows 0..K//2."""
         p = f"block{b}."
         x = self._ffn(seq.tokens, p + "ffn1.", half=True, drop=drop)
-        h = tt.layer_norm(x, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta"))
-        attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
-        x = tt.add(x, _dropout(attn.tokens, drop))
-        if cls_only:  # the conv output's row 0 reads input rows 0..K//2
-            x = tt.slice_axis(x, -2, 0, self.config.conv_kernel // 2 + 1)
+        rows = min(self.config.conv_kernel // 2 + 1, seq.T + 1) if cls_only else None
+        x = self._attention_residual(x, seq.T, p, drop, trace, rows)
         x = self._conv_module(x, p, drop)
         if cls_only:
             x = tt.slice_axis(x, -2, 0, 1)
-        x = self._ffn(x, p + "ffn2.", half=True, drop=drop, rows=seq.T + 1)
+        x = self._ffn(x, p + "ffn2.", half=True, drop=drop)
         x = tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
         return TokenSequence(x, 0 if cls_only else seq.T)
 
@@ -345,14 +391,9 @@ class Model:
                                   cls_only=False):
         """One block; `cls_only` runs the FFN on the CLS row alone."""
         p = f"block{b}."
-        h = tt.layer_norm(
-            seq.tokens, self.p(p + "ln_attn.gamma"), self.p(p + "ln_attn.beta")
-        )
-        attn = self.tcm_forward(TokenSequence(h, seq.T), p, trace=trace)
-        x = tt.add(seq.tokens, _dropout(attn.tokens, drop))
-        if cls_only:
-            x = tt.slice_axis(x, -2, 0, 1)
-        x = self._ffn(x, p + "ffn.", half=False, drop=drop, rows=seq.T + 1)
+        x = self._attention_residual(seq.tokens, seq.T, p, drop, trace,
+                                     1 if cls_only else None)
+        x = self._ffn(x, p + "ffn.", half=False, drop=drop)
         return TokenSequence(x, 0 if cls_only else seq.T)
 
     def block_forward(self, seq, b, drop=None, trace=None, cls_only=False):
@@ -367,6 +408,8 @@ class Model:
             raise ConfigError(f"expected B x T x F features, got {feats.shape}")
         x = self.project_features(features if isinstance(features, Tensor)
                                   else Tensor(feats))
+        if drop is not None:  # the pruned last block's masks keep the full rows
+            drop.tokens = feats.shape[1] + 1
         seq = self.prepend_cls(x)
         last = self.config.blocks - 1
         for b in range(self.config.blocks):  # the head reads only the CLS row

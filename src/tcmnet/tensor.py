@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 
@@ -369,10 +370,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     # one centring pass for the variance and xhat, in np.mean / np.var's
     # order: sum, then divide by the count
     xc = xd - xd.sum(axis=1, keepdims=True) / n
-    var = np.square(xc).sum(axis=1, keepdims=True) / n
+    sq = np.square(xc)
+    var = sq.sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(xc, inv, out=xc)
-    y = gamma.data * xhat + beta.data
+    y = np.multiply(gamma.data, xhat, out=sq)
+    y += beta.data
     out = _make(y.reshape(x.data.shape), x, gamma, beta)
 
     def reduce(gg, xhat):
@@ -415,12 +418,17 @@ def gelu(x):
     return out
 
 
-def _logistic(x):
+def _one_plus_exp_neg(x):
     # exp overflows to inf below x = -709, where 1 / (1 + inf) is exactly 0
     s = np.negative(x)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
+    return s
+
+
+def _logistic(x):
+    s = _one_plus_exp_neg(x)
     return np.divide(1.0, s, out=s)
 
 
@@ -436,14 +444,34 @@ def sigmoid(x):
 
 
 def swish(x):
-    s = _logistic(x.data)
-    out = _make(x.data * s, x)
+    """x / (1 + e^-x); the logistic is built only for the tape."""
+    s = _one_plus_exp_neg(x.data)
+    out = _make(x.data / s, x)
+    if not out.requires_grad:
+        return out
+    np.divide(1.0, s, out=s)
 
     def bwd(g):
         x.accum_grad(g * (s + x.data * s * (1.0 - s)), fresh=True)
 
     _record(out, bwd)
     return out
+
+
+def _pad_rows(arr, K):
+    """(..., T, D) -> (..., T + K - 1, D), with K // 2 zero rows each side."""
+    T = arr.shape[-2]
+    padded = np.zeros(arr.shape[:-2] + (T + K - 1, arr.shape[-1]))
+    padded[..., K // 2 : K // 2 + T, :] = arr
+    return padded
+
+
+def _conv_taps(padded, kernel, mirror=False):
+    """out_t = sum_k padded_{t+k} kernel_k (mirrored: padded_{t+K-1-k}),
+    over a (..., T, D, K) window view; the K taps are summed in kernel
+    order, as a loop over them would."""
+    windows = sliding_window_view(padded, len(kernel), axis=-2)
+    return np.einsum("...tdk,kd->...td", windows[..., ::-1] if mirror else windows, kernel)
 
 
 def depthwise_conv1d(x, kernel):
@@ -461,28 +489,20 @@ def depthwise_conv1d(x, kernel):
     if x.shape[-1] != D:
         raise ShapeError(f"channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     T = x.shape[-2]
-    lead = x.data.shape[:-2]
-    pad = K // 2
-    xp = np.zeros(lead + (T + K - 1, D))
-    xp[..., pad : pad + T, :] = x.data
-    y = np.zeros(x.data.shape)
-    for k in range(K):
-        y += xp[..., k : k + T, :] * kernel.data[k]
-    out = _make(y, x, kernel)
+    xp = _pad_rows(x.data, K)
+    out = _make(_conv_taps(xp, kernel.data), x, kernel)
 
     def reduce(g, xp):
         axes = tuple(range(g.ndim - 1))
         dk = np.empty((K, D))
+        tap = np.empty(g.shape)  # one product buffer for every tap
         for k in range(K):
-            dk[k] = (g * xp[..., k : k + T, :]).sum(axis=axes)
+            dk[k] = np.multiply(g, xp[..., k : k + T, :], out=tap).sum(axis=axes)
         return ((kernel, dk),)
 
     def bwd(g):
-        if x.requires_grad:
-            gp = np.zeros(lead + (T + K - 1, D))
-            for k in range(K):
-                gp[..., k : k + T, :] += g * kernel.data[k]
-            x.accum_grad(gp[..., pad : pad + T, :], fresh=True)
+        if x.requires_grad:  # dx_t = sum_k g_{t+K//2-k} w_k
+            x.accum_grad(_conv_taps(_pad_rows(g, K), kernel.data, mirror=True), fresh=True)
         if kernel.requires_grad:
             _batch_reduce(reduce, g, xp)
 
@@ -559,53 +579,79 @@ def expand(a, shape):
 # S x S scores take up to about this many bytes, so each block stays in a
 # core's L2 cache from the score matmul to the weights times V.
 _ATTN_BLOCK_BYTES = 1 << 20
+# A (leading index, head) pair whose scaled logits are at most this in
+# magnitude takes exp without the softmax max shift: e^300 times any row
+# length stays far below overflow, and e^-300 far above the smallest
+# normal double, so no row sum overflows or flushes to zero.
+_ATTN_NO_SHIFT_LOGIT = 300.0
+
+
+def _max_sq_norm(a):
+    """(N, S, d) -> (N,): the largest squared row norm of each slice."""
+    return np.einsum("nsd,nsd->ns", a, a).max(axis=-1)
 
 
 def mhsa_core(q, k, v, heads, trace=None):
     """Fused scaled-dot-product attention over H contiguous head slices.
 
-    q, k, v: (..., S, D) with D divisible by `heads`; returns the same-shape
-    concatenation of softmax(Qi Ki^T / sqrt(d)) Vi. One tape node for the
-    whole head loop; `trace` collects the row-stochastic S x S weights,
-    one entry per (leading index, head) in row-major order.
+    q: (..., Sq, D) and k, v: (..., S, D), with D divisible by `heads`;
+    returns the (..., Sq, D) concatenation of softmax(Qi Ki^T / sqrt(d)) Vi.
+    Sq < S computes only the leading query rows a caller reads. One tape
+    node for the whole head loop; `trace` collects the row-stochastic
+    Sq x S weights, one entry per (leading index, head) in row-major order.
 
-    Scores are held keys-major, E = K (Q / sqrt(d))^T, so the softmax max
-    is a reduction across rows. After exp, one matmul E^T [V | 1] gives the
-    unnormalised outputs and their row sums, and only the S x d outputs are
-    divided (deferred normalisation, as in FlashAttention). The normalised
-    weights are built only for backward, which keeps every head's, or for
-    `trace`; both modes compute the outputs the same way, bit for bit.
+    Scores are held keys-major, E = K (Q / sqrt(d))^T. The softmax max, a
+    reduction across rows, is subtracted only in a (leading index, head)
+    slice where it could matter: by Cauchy-Schwarz every logit of a slice
+    is at most max |q_i / sqrt(d)| max |k_j| in magnitude, and below
+    _ATTN_NO_SHIFT_LOGIT exp is safe unshifted. The choice is per slice, so
+    a result never depends on the other slices of its batch. After exp, one
+    matmul E^T [V | 1] gives the unnormalised outputs and their row sums,
+    and only the Sq x d outputs are divided (deferred normalisation, as in
+    FlashAttention). The normalised weights are built only for backward,
+    which keeps every head's, or for `trace`; both modes compute the
+    outputs the same way, bit for bit. Backward takes the softmax row term
+    sum_j dP_ij P_ij as dO_i . O_i, FlashAttention's identity.
     """
     if q.data.ndim < 2:
         raise ShapeError(f"mhsa_core expects (..., S, D), got shape {q.shape}")
-    S, D = q.shape[-2], q.shape[-1]
+    Sq, D = q.shape[-2], q.shape[-1]
+    S = k.shape[-2]
+    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != D:
+        raise ShapeError(f"mhsa_core: queries {q.shape} do not fit keys {k.shape} "
+                         f"and values {v.shape}")
     if D % heads != 0:
         raise ShapeError(f"attention width {D} not divisible by {heads} heads")
     d = D // heads
     inv_sqrt_d = 1.0 / np.sqrt(d)
     lead = q.data.shape[:-2]
     n = math.prod(lead) * heads
-    step = max(1, _ATTN_BLOCK_BYTES // (8 * S * S))
+    step = max(1, _ATTN_BLOCK_BYTES // (8 * S * Sq))
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    def by_head(arr):  # (..., S, H*d) -> (N, S, d), N = leading size * H
-        split = arr.reshape(lead + (S, heads, d)).swapaxes(-3, -2)
-        return np.ascontiguousarray(split).reshape(n, S, d)
+    def by_head(arr):  # (..., R, H*d) -> (N, R, d), N = leading size * H
+        R = arr.shape[-2]
+        split = arr.reshape(lead + (R, heads, d)).swapaxes(-3, -2)
+        return np.ascontiguousarray(split).reshape(n, R, d)
 
-    def from_head(arr):  # (N, S, d) -> (..., S, H*d)
-        return arr.reshape(lead + (heads, S, d)).swapaxes(-3, -2).reshape(q.shape)
+    def from_head(arr):  # (N, R, d) -> (..., R, H*d)
+        R = arr.shape[-2]
+        return arr.reshape(lead + (heads, R, d)).swapaxes(-3, -2).reshape(lead + (R, D))
 
     qs, k3 = by_head(q.data) * inv_sqrt_d, by_head(k.data)
+    # squared norms, so no sqrt; a NaN bound keeps the shift
+    shift = ~(_max_sq_norm(qs) * _max_sq_norm(k3) <= _ATTN_NO_SHIFT_LOGIT ** 2)
     v1 = np.empty((n, S, d + 1))  # [V | 1]
     v1[..., :d] = by_head(v.data)
     v1[..., d] = 1.0
     keep = _needs_grad(q, k, v)
-    e = np.empty((n if keep else min(step, n), S, S))  # e[i, key, query]
-    acc = np.empty((n, S, d + 1))  # [unnormalised outputs | row sums]
+    e = np.empty((n if keep else min(step, n), S, Sq))  # e[i, key, query]
+    acc = np.empty((n, Sq, d + 1))  # [unnormalised outputs | row sums]
     for blk in blocks:
         eb = e[blk] if keep else e[: blk.stop - blk.start]
         np.matmul(k3[blk], qs[blk].swapaxes(-1, -2), out=eb)
-        eb -= eb.max(axis=-2, keepdims=True)
+        for i in np.flatnonzero(shift[blk]):
+            eb[i] -= eb[i].max(axis=0)
         np.exp(eb, out=eb)
         np.matmul(eb.swapaxes(-1, -2), v1[blk], out=acc[blk])
         if keep or trace is not None:
@@ -618,14 +664,14 @@ def mhsa_core(q, k, v, heads, trace=None):
 
     def bwd(g):
         go3, v3 = by_head(g), v1[..., :d]
-        dq3, dk3, dv3 = (np.empty((n, S, d)) for _ in range(3))
-        da = np.empty((min(step, n), S, S))
-        prod = np.empty_like(da)
+        row_term = np.einsum("nsd,nsd->ns", go3, o3)  # D_i = dO_i . O_i
+        dq3, dk3, dv3 = np.empty((n, Sq, d)), np.empty((n, S, d)), np.empty((n, S, d))
+        da = np.empty((min(step, n), S, Sq))
         for blk in blocks:
             at, m = e[blk], blk.stop - blk.start
             ds = da[:m]  # keys-major, as e
             np.matmul(v3[blk], go3[blk].swapaxes(-1, -2), out=ds)
-            ds -= np.multiply(ds, at, out=prod[:m]).sum(axis=-2, keepdims=True)
+            ds -= row_term[blk, None, :]
             ds *= at
             np.matmul(ds.swapaxes(-1, -2), k3[blk], out=dq3[blk])
             np.matmul(ds, qs[blk], out=dk3[blk])

@@ -8,7 +8,7 @@ from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
 from tcmnet.data import SPLITS, read_features, read_split, write_features
 from tcmnet.experiments import VARIANTS, run_variant
-from tcmnet.model import Model
+from tcmnet.model import Model, ModelConfig
 from tcmnet.tensor import ConfigError
 from tcmnet.train import load_checkpoint
 
@@ -130,6 +130,22 @@ def test_rerun_from_echo_reproduces(tiny_config, tmp_path):
     echo = out1 / "resolved_config.json"
     main(["gen-data", "--config", str(echo), "--out-dir", str(out2)])
     assert _dir_bytes(out1) == _dir_bytes(out2)
+
+
+def test_echo_without_model_section_holds_the_model_defaults(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": {"n_train": 2, "n_dev": 1, "n_eval": 1,
+                                           "feature_dim": 4, "t_min": 3, "t_max": 3,
+                                           "band_width": 2, "seg_len": 2}}))
+    out = tmp_path / "d"
+    assert main(["gen-data", "--config", str(path), "--out-dir", str(out)]) == 0
+    echo = json.loads((out / "resolved_config.json").read_text())
+    defaults = ModelConfig(feature_dim=4)
+    for key in ("dim", "heads", "blocks"):
+        assert echo["model"][key] == getattr(defaults, key), key
+    assert "feature_dim" not in echo["model"]
+    reloaded = RunConfig.load(out / "resolved_config.json")
+    assert reloaded.model_config(4) == RunConfig.load(path).model_config(4)
 
 
 @pytest.fixture

@@ -493,6 +493,20 @@ def test_forward_batch_gradients_match_summed_per_utterance():
 # the last block computes only the CLS row after attention
 
 
+@pytest.mark.parametrize("lo", [0, 7, 10, 13])
+def test_dropout_leading_rows_equal_a_slice_of_the_full_draw(lo):
+    # (rows, r, D): a conv window, the CLS row, every row, and runs of
+    # values that start inside one Philox counter block
+    for rows, r, D in ((101, 8, 37), (101, 1, 37), (101, 101, 37), (2, 1, 1), (5, 3, 2)):
+        full = DropoutCtx(0.3, 4, 2, 9)
+        shard = full.rows(lo)
+        shard.tokens = rows
+        for _ in range(2):  # the second mask of each context, too
+            want = full.mask((20, rows, D))[lo:, :r]
+            got = shard.mask((20 - lo, r, D))
+            assert np.array_equal(got, want), (rows, r, D)
+
+
 def _pruning_lengths(K):
     """T around the conv window K//2 + 1 that the pruned last block keeps."""
     return sorted({T for T in (1, K // 2 - 1, K // 2, K // 2 + 1, 3 * K) if T >= 1})
@@ -514,6 +528,30 @@ def test_pruned_forward_batch_matches_full_row_oracle(kind, K):
                 for i in range(B):
                     _, want = oc.model_forward_np(feats[i], p, m.config)
                     assert np.max(np.abs(got[i] - want)) < 1e-12, (name, T, B, i)
+
+
+@pytest.mark.parametrize("kind, rows", [("conformer", 3), ("transformer", 1)])
+def test_last_block_attends_for_the_read_query_rows_only(monkeypatch, kind, rows):
+    # rows: the conv window K//2 + 1 at K = 5, or the CLS row alone
+    seen = []
+    core = tt.mhsa_core
+
+    def spy(q, k, v, heads, trace=None):
+        seen.append((q.shape[-2], k.shape[-2]))
+        return core(q, k, v, heads, trace=trace)
+
+    monkeypatch.setattr(tt, "mhsa_core", spy)
+    feats = np.random.default_rng(39).standard_normal((2, 9, 6))
+    for name, tg in VARIANTS:
+        m = Model(small_config(blocks=2, block_kind=kind, conv_kernel=5, toggles=tg),
+                  seed=39)
+        pruned = not tg.use_tcm or not (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls)
+        for trace in (None, []):
+            seen.clear()
+            m.forward_batch(feats, trace=trace)
+            S = seen[0][1]
+            last = (rows, S) if pruned and trace is None else (S, S)
+            assert seen == [(S, S), last], (name, trace)
 
 
 @pytest.mark.parametrize("kind", ["conformer", "transformer"])

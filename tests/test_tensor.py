@@ -441,6 +441,14 @@ def test_mhsa_core_blocks_match_per_utterance(monkeypatch):
     monkeypatch.setattr(tt, "_ATTN_BLOCK_BYTES", 3 * 8 * S * S + 8)
     rng = np.random.default_rng(17)
     q, k, v, m = (rng.standard_normal((B, S, D)) for _ in range(4))
+    # (utterance 1, head 0), in the first block with both heads of
+    # utterance 0, is the only slice whose logits may pass the no-shift bound
+    d = D // H
+    q[1, :, :d] *= 1000.0
+    bound = [np.sqrt(np.max(np.sum((q[i, :, h * d : (h + 1) * d] / np.sqrt(d)) ** 2, -1))
+                     * np.max(np.sum(k[i, :, h * d : (h + 1) * d] ** 2, -1)))
+             for i in range(B) for h in range(H)]
+    assert [j for j, b in enumerate(bound) if b > tt._ATTN_NO_SHIFT_LOGIT] == [2]
 
     def run(qd, kd, vd, md):
         tt.reset_tape()
@@ -469,6 +477,71 @@ def test_mhsa_core_blocks_match_per_utterance(monkeypatch):
                 trace_i[h]["weights"].tobytes()
         for g, g_i in zip(grads, grads_i):
             assert g[i].tobytes() == g_i.tobytes()
+
+
+def _attention_and_grads(q, k, v, m, heads):
+    tt.reset_tape()
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = tt.mhsa_core(*leaves, heads)
+    tt.backward(tt.sum_all(tt.mul(out, Tensor(m))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("S", [1, 37, 255])
+def test_mhsa_core_softmax_paths_agree(monkeypatch, S):
+    # bound 0: every slice subtracts the max; bound inf: none does
+    rng = np.random.default_rng(60 + S)
+    q, k, v, m = (rng.standard_normal((2, S, 6)) for _ in range(4))
+    got = {}
+    for bound in (0.0, np.inf):
+        monkeypatch.setattr(tt, "_ATTN_NO_SHIFT_LOGIT", bound)
+        got[bound] = _attention_and_grads(q, k, v, m, 2)
+    for name, shifted, unshifted in zip("oqkv", got[0.0], got[np.inf]):
+        assert np.max(np.abs(shifted - unshifted)) < 1e-12, name
+
+
+@pytest.mark.parametrize("logit, shifted", [(300, False), (301, True), (800, True)])
+def test_mhsa_core_softmax_at_the_no_shift_bound(monkeypatch, logit, shifted):
+    # d = 4: 1 / sqrt(d) = 0.5, so with entries in multiples of 1/2 every
+    # logit is exact. Keys have norm 1 and queries norm 2 * logit: the
+    # bound is `logit`, and rows +-2 logit e0 reach it.
+    k = np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0],
+                  [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]])
+    q = 2.0 * logit * np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0],
+                                [0, -1, 0, 0], [0.5, 0.5, 0.5, 0.5]])
+    S = len(k)
+    q = np.vstack([q, np.zeros((S - len(q), 4))])
+    v = np.random.default_rng(logit).standard_normal((S, 4))
+    m = np.random.default_rng(logit + 1).standard_normal((S, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _attention_and_grads(q, k, v, m, 1)
+        monkeypatch.setattr(tt, "_ATTN_NO_SHIFT_LOGIT", 0.0 if shifted else np.inf)
+        path = _attention_and_grads(q, k, v, m, 1)
+    assert np.allclose(got[0], oc.attention_np(q, k, v, 1), rtol=0, atol=1e-13)
+    for name, g, want in zip("oqkv", got, path):
+        assert np.all(np.isfinite(g)) and g.tobytes() == want.tobytes(), name
+
+
+def test_mhsa_core_leading_query_rows():
+    # fewer query rows than keys: the leading rows of the full attention
+    rng = np.random.default_rng(61)
+    q, k, v = (rng.standard_normal((2, 9, 6)) for _ in range(3))
+    with tt.no_grad():
+        got = tt.mhsa_core(Tensor(q[:, :3]), Tensor(k), Tensor(v), 2).data
+    assert got.shape == (2, 3, 6)
+    for i in range(2):
+        want = oc.attention_np(q[i], k[i], v[i], 2)[:3]
+        assert np.allclose(got[i], want, rtol=0, atol=1e-13), i
+    arrs = {"q": q[:, :3].copy(), "k": k, "v": v, "m": rng.standard_normal((2, 3, 6))}
+    gradcheck(
+        lambda lv: tt.sum_all(
+            tt.mul(tt.mhsa_core(lv["q"], lv["k"], lv["v"], 2), lv["m"])
+        ),
+        arrs,
+    )
+    with pytest.raises(ShapeError, match="do not fit"):
+        tt.mhsa_core(Tensor(q), Tensor(k), Tensor(v[:, :8]), 2)
 
 
 def test_mhsa_core_indivisible_heads():
