@@ -41,7 +41,11 @@ def cmd_gen_data(args):
     corpus = D.generate_corpus(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     for split, utts in corpus.items():
-        D.write_split(utts, out_dir / split)
+        split_dir = out_dir / split
+        # --force: a smaller corpus must not keep files of the previous one
+        for old in [*split_dir.glob("*.tcmf"), split_dir / "protocol.txt"]:
+            old.unlink(missing_ok=True)
+        D.write_split(utts, split_dir)
         _say(f"wrote {len(utts)} utterances to {out_dir / split}")
     cfg.write_echo(out_dir / "resolved_config.json")
     return 0

@@ -277,13 +277,17 @@ def read_protocol(path):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: protocol is not UTF-8: {exc}") from exc
-    entries = []
+    entries, first_line = [], {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         parts = line.split(" ")
         if len(parts) != 2 or parts[1] not in LABELS:
             raise FormatError(f"{path}: bad protocol line {lineno}: {line!r}")
+        if parts[0] in first_line:
+            raise FormatError(f"{path}: id {parts[0]!r} on line {lineno} repeats "
+                              f"line {first_line[parts[0]]}")
+        first_line[parts[0]] = lineno
         entries.append((parts[0], parts[1]))
     return entries
 

@@ -9,7 +9,9 @@ the individual pieces off for ablations.
 
 Blocks come in two kinds: a macaron Conformer block (half-step FFNs, a
 pointwise/GLU/depthwise/swish conv module, final layer norm) and a
-pre-norm Transformer encoder block.
+pre-norm Transformer encoder block. Dropout follows each FFN and the
+attention; the conv module applies none, where Gulati et al.'s Conformer
+ends it in a dropout.
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ class Model:
         h = _dropout(h, drop)
         return tt.add(x, tt.scale(h, 0.5) if half else h)
 
-    def _conv_module(self, x, prefix, drop):
+    def _conv_module(self, x, prefix):
         c = self.config
         h = tt.layer_norm(
             x, self.p(prefix + "ln_conv.gamma"), self.p(prefix + "ln_conv.beta")
@@ -380,7 +382,7 @@ class Model:
         x = self._ffn(seq.tokens, p + "ffn1.", half=True, drop=drop)
         rows = min(self.config.conv_kernel // 2 + 1, seq.T + 1) if cls_only else None
         x = self._attention_residual(x, seq.T, p, drop, trace, rows)
-        x = self._conv_module(x, p, drop)
+        x = self._conv_module(x, p)
         if cls_only:
             x = tt.slice_axis(x, -2, 0, 1)
         x = self._ffn(x, p + "ffn2.", half=True, drop=drop)
@@ -416,18 +418,6 @@ class Model:
             seq = self.block_forward(seq, b, drop=drop, trace=trace, cls_only=b == last)
         out = tt.affine(seq.tokens, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
-
-    def forward_sharded(self, features, drop=None):
-        """forward_batch over row shards on worker threads (see
-        tensor.shard_rows): the same (B, 2) logits and gradients, bit for bit.
-        Training steps run this way; no-grad scoring does not."""
-        feats = np.asarray(features)
-
-        def rows(lo, hi):
-            shard_drop = None if drop is None else drop.rows(lo)
-            return self.forward_batch(feats[lo:hi], drop=shard_drop)
-
-        return tt.shard_rows(rows, len(feats))
 
     def forward(self, features, drop=None, trace=None):
         """T x F features -> (score, logits), as a batch of one.

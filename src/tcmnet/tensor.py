@@ -7,10 +7,12 @@ grad-requiring input appends a backward closure to the active tape.
 Gradients accumulate: repeated backward calls without ``zero_grad`` /
 ``reset_tape`` add up. Training code resets the tape once per step.
 
-The tape and the grad flag are per thread. ``shard_rows`` splits a batch
-into contiguous row shards and runs each on a worker thread with its own
+The tape and the grad flag are per thread. One pool of worker threads,
+one per CPU usable at import, runs all parallel work. ``shard_rows`` splits
+a batch into contiguous row shards and runs each on a worker with its own
 tape; gradients that sum across the batch are deferred and reduced once
 over the whole batch, so results match the one-thread path bit for bit.
+``map_workers`` runs whole pieces of work on the same workers.
 
 Importing this module sets process-wide glibc malloc options (see
 ``_keep_freed_heap_pages``): a training step frees its whole tape at once,
@@ -153,7 +155,8 @@ _TAPE = ComputationTape()  # the main thread's tape
 
 class _ThreadState(threading.local):
     """Per-thread autodiff state: the tape ops record to, the grad flag,
-    and, in a shard's backward, the list its batch reductions go to."""
+    in a shard's backward the list its batch reductions go to, and whether
+    this thread is a pool worker (`in_shard`)."""
 
     def __init__(self):
         main = threading.current_thread() is threading.main_thread()
@@ -686,7 +689,7 @@ def mhsa_core(q, k, v, heads, trace=None):
 
 
 # ---------------------------------------------------------------------------
-# row shards
+# worker threads and row shards
 
 
 def _usable_cpus():
@@ -696,24 +699,16 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-class _Workers:
-    """Thread pool for shards, started on first use and grown on demand."""
-
-    def __init__(self):
-        self.pool, self.size = None, 0
-        self.lock = threading.Lock()
-
-    def get(self, n):
-        with self.lock:
-            if self.size < n:
-                if self.pool is not None:
-                    self.pool.shutdown(wait=False)
-                self.pool = ThreadPoolExecutor(n, thread_name_prefix="tcmnet-shard")
-                self.size = n
-            return self.pool
+def _mark_worker():
+    _state.in_shard = True
 
 
-_WORKERS = _Workers()
+# One worker thread per CPU usable at import, started on first use. Every
+# worker is marked, so `shard_rows` and `map_workers` called on one run
+# inline: pool tasks never wait on each other, and more tasks than
+# threads only queue.
+_POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="tcmnet-worker",
+                           initializer=_mark_worker)
 
 
 def _gather(futures):
@@ -726,35 +721,29 @@ def _gather(futures):
     return [f.result() for f in futures]
 
 
-class _Shard:
-    __slots__ = ("lo", "hi", "tape", "pending", "out")
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        self.tape = ComputationTape()
-        self.pending = None
-        self.out = None
-
-
-def _shard_forward(shard, fn, grad):
+def _on_tape(tape, grad, fn, lo, hi):
+    """fn(lo, hi) recording to `tape` with grad mode `grad`; the worker's
+    own tape and mode are restored after."""
     st = _state
     saved = st.tape, st.grad_enabled
-    st.tape, st.grad_enabled, st.in_shard = shard.tape, grad, True
+    st.tape, st.grad_enabled = tape, grad
     try:
-        shard.out = fn(shard.lo, shard.hi)
+        return fn(lo, hi)
     finally:
         st.tape, st.grad_enabled = saved
-        st.in_shard = False
 
 
-def _shard_backward(shard, g):
+def _shard_backward(out, tape, g):
+    """Replays one shard's tape from its rows g of the gradient; returns
+    the batch reductions it deferred."""
     st = _state
-    shard.pending = st.pending = []
+    st.pending = pending = []
     try:
-        shard.out.accum_grad(g)
-        _replay(shard.tape)
+        out.accum_grad(g)
+        _replay(tape)
     finally:
         st.pending = None
+    return pending
 
 
 def _reduce_rows(entry):
@@ -785,29 +774,28 @@ def shard_rows(fn, rows):
     the gradient, then runs every deferred batch reduction once over the
     whole batch, in tape order, so gradients equal the one-thread ones bit
     for bit. Only that node holds the shards' tapes, so resetting the
-    caller's tape frees them. A batch of one, or a call from inside a
-    shard, runs fn(0, rows) on the calling thread.
+    caller's tape frees them. A batch of one, or a call from a worker
+    thread, runs fn(0, rows) on the calling thread.
     """
     n = min(_usable_cpus(), rows)
     if n < 2 or _state.in_shard:
         return fn(0, rows)
     bounds = [rows * i // n for i in range(n + 1)]
-    shards = [_Shard(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    pool = _WORKERS.get(n)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    tapes = [ComputationTape() for _ in spans]
     grad = _state.grad_enabled
-    _gather([pool.submit(_shard_forward, s, fn, grad) for s in shards])
-    outs = [s.out for s in shards]
+    outs = _gather([_POOL.submit(_on_tape, tape, grad, fn, lo, hi)
+                    for tape, (lo, hi) in zip(tapes, spans)])
     out = _make(np.concatenate([o.data for o in outs]), *outs)
     if not out.requires_grad:
         return out
 
     def bwd(g):
-        pool = _WORKERS.get(n)
-        _gather([pool.submit(_shard_backward, s, g[s.lo : s.hi]) for s in shards])
-        if len({len(s.pending) for s in shards}) != 1:
+        pending = _gather([_POOL.submit(_shard_backward, o, tape, g[lo:hi])
+                           for o, tape, (lo, hi) in zip(outs, tapes, spans)])
+        if len({len(p) for p in pending}) != 1:
             raise ShapeError("shards recorded different batch reductions")
-        entries = zip(*(s.pending for s in shards))
-        for pairs in _gather([pool.submit(_reduce_rows, e) for e in entries]):
+        for pairs in _gather([_POOL.submit(_reduce_rows, e) for e in zip(*pending)]):
             for t, tg in pairs:
                 t.accum_grad(tg, fresh=True)
 
@@ -815,25 +803,15 @@ def shard_rows(fn, rows):
     return out
 
 
-def _inline_shards(fn, item):
-    _state.in_shard = True
-    try:
-        return fn(item)
-    finally:
-        _state.in_shard = False
-
-
 def map_workers(fn, items):
-    """[fn(item) for item in items], each call on a shard worker thread.
+    """[fn(item) for item in items], each call on a worker thread.
 
     For work that is already cut into whole pieces (scoring chunks): one
     piece per worker, no rows split, and a `shard_rows` inside fn runs
     inline on its worker. Results are in input order; the first error is
     raised only after every call has finished. With one usable CPU, or
-    from inside a shard, the calls run on the calling thread.
+    from a worker, the calls run on the calling thread.
     """
-    n = min(_usable_cpus(), len(items))
-    if n < 2 or _state.in_shard:
+    if min(_usable_cpus(), len(items)) < 2 or _state.in_shard:
         return [fn(item) for item in items]
-    pool = _WORKERS.get(n)
-    return _gather([pool.submit(_inline_shards, fn, item) for item in items])
+    return _gather([_POOL.submit(fn, item) for item in items])

@@ -115,8 +115,15 @@ def adam_step(params, state: AdamState, lr, weight_decay=0.0,
 
 
 def batch_logits(model, features, drop=None):
-    """(B, 2) logits for a B x T x F feature array, in row shards."""
-    return model.forward_sharded(features, drop=drop)
+    """(B, 2) logits for a B x T x F feature array: Model.forward_batch in
+    row shards on worker threads (tensor.shard_rows), each drawing its own
+    rows of the dropout masks; logits and gradients equal one thread's."""
+    feats = np.asarray(features)
+
+    def rows(lo, hi):
+        return model.forward_batch(feats[lo:hi], drop=None if drop is None else drop.rows(lo))
+
+    return tt.shard_rows(rows, len(feats))
 
 
 def _check_finite(loss, params, epoch, batch):
@@ -228,6 +235,8 @@ def load_checkpoint(path) -> Checkpoint:
     for i in range(count):
         (name_len,) = r.unpack("<H", f"name length of tensor {i}")
         name = r.text(name_len, f"name of tensor {i}")
+        if name in params:
+            raise r.fail(f"tensor {i} repeats the name {name!r} at offset {r.at}")
         (rank,) = r.unpack("<B", f"rank of {name!r}")
         dims = r.unpack(f"<{rank}I", f"shape of {name!r}")
         params[name] = r.array("<f8", dims, f"values of {name!r}")

@@ -237,6 +237,17 @@ def test_eval_runs_the_model_once_per_utterance(trained, tmp_path, monkeypatch, 
     assert sum(rows) == 8
 
 
+def test_gen_data_force_drops_the_previous_corpus_files(trained, tmp_path):
+    config, data_dir, run_dir = trained
+    assert main(["gen-data", "--config", str(config), "--out-dir", str(data_dir),
+                 "--force", "--set", "corpus.n_eval=5"]) == 0
+    assert len(list((data_dir / "eval").glob("*.tcmf"))) == 5
+    out = tmp_path / "e"
+    assert main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data-dir", str(data_dir), "--out-dir", str(out)]) == 0
+    assert len((out / "scores.txt").read_text().splitlines()) == 5
+
+
 def test_eval_rejects_empty_protocol(trained, tmp_path, capsys):
     _, data_dir, run_dir = trained
     (data_dir / "eval" / "protocol.txt").write_text("")

@@ -201,6 +201,15 @@ def test_protocol_unknown_label(tmp_path):
         read_protocol(path)
 
 
+@pytest.mark.parametrize("second", ["spoof", "bonafide"])
+def test_protocol_repeated_id_names_both_lines(tmp_path, second):
+    path = tmp_path / "protocol.txt"
+    path.write_text(f"u0 spoof\nu1 bonafide\nu0 {second}\n")
+    with pytest.raises(FormatError, match="id 'u0' on line 3 repeats line 1") as info:
+        read_protocol(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_protocol_non_utf8_names_the_file(tmp_path):
     path = tmp_path / "protocol.txt"
     path.write_bytes(b"\xffu1 spoof\n")

@@ -19,7 +19,7 @@ from tcmnet.experiments import VARIANTS
 from tcmnet.metrics import score_split
 from tcmnet.model import DropoutCtx, Model, ModelConfig, TcmToggles
 from tcmnet.tensor import ConfigError, Tensor
-from tcmnet.train import AdamState, TrainConfig, train_epoch, validate
+from tcmnet.train import AdamState, TrainConfig, batch_logits, train_epoch, validate
 
 # a deadlocked shard would hang the run; dump every thread's stack and exit
 TIME_BOUND_S = 300
@@ -198,7 +198,7 @@ def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
         _use_cpus(monkeypatch, n)
         tt.reset_tape()
         m.zero_grads()
-        logits = m.forward_sharded(feats, drop=DropoutCtx(0.2, 6))
+        logits = batch_logits(m, feats, drop=DropoutCtx(0.2, 6))
         tt.backward(tt.sum_all(tt.mul(logits, Tensor([[1.0, -2.0]]))))
         grads[n] = {k: t.grad.copy() for k, t in m.params.items()}
     for n in (2, 3):
@@ -318,3 +318,46 @@ def test_shard_rows_inside_a_shard_runs_on_that_shards_thread(monkeypatch, busy_
     out = tt.shard_rows(outer, 4)
     assert out.data[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
     assert len(threads) == 2 and all(t is o for t, o in threads)
+
+
+def test_calls_inside_a_map_workers_item_run_on_that_items_thread(monkeypatch, busy_threads):
+    # a nested call that queued on the busy pool would wait for itself
+    _use_cpus(monkeypatch, 2)
+    seen = []
+
+    def item(i):
+        me = threading.current_thread()
+        inner = tt.map_workers(lambda _: threading.current_thread(), [0, 1, 2])
+        shard_threads = []
+
+        def rows(lo, hi):
+            shard_threads.append(threading.current_thread())
+            return Tensor(np.zeros((hi - lo, 1)))
+
+        tt.shard_rows(rows, 4)
+        seen.append((me, inner, shard_threads))
+        return i
+
+    assert tt.map_workers(item, [0, 1, 2, 3]) == [0, 1, 2, 3]
+    assert len(seen) == 4
+    for me, inner, shard_threads in seen:
+        assert me is not threading.main_thread()
+        assert inner == [me] * 3 and shard_threads == [me]
+
+
+def test_map_workers_runs_at_most_one_call_per_usable_cpu():
+    lock = threading.Lock()
+    running, most = 0, 0
+
+    def work(i):
+        nonlocal running, most
+        with lock:
+            running += 1
+            most = max(most, running)
+        time.sleep(0.002)
+        with lock:
+            running -= 1
+        return i
+
+    assert tt.map_workers(work, list(range(20))) == list(range(20))
+    assert 1 <= most <= tt._usable_cpus()

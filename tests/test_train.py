@@ -398,6 +398,21 @@ def test_checkpoint_hand_built_single_parameter(tmp_path):
     assert ck.val_loss == 0.125 and ck.epoch == 4 and ck.config_echo == {}
 
 
+def test_checkpoint_repeated_tensor_name_names_its_offset(tmp_path):
+    def tensor_a(value):  # name "a", rank 1, one value
+        return struct.pack("<H", 1) + b"a" + struct.pack("<BId", 1, 1, value)
+
+    head = b"TCMC" + struct.pack("<II", 1, 2)
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(head + tensor_a(1.0) + tensor_a(2.0) + struct.pack("<I", 2) + b"{}"
+                     + struct.pack("<dI", 0.5, 1))
+    at = len(head) + len(tensor_a(1.0)) + 2
+    with pytest.raises(CheckpointError, match=f"tensor 1 repeats the name 'a' at offset {at}"
+                       ) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_truncated_at_every_byte_names_field_and_offset(tmp_path):
     ck = Checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
                     {"train": {"seed": 9}}, epoch=2, val_loss=0.25)
