@@ -8,7 +8,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tcmnet.experiments import DeskConfig, run_desk_experiment, write_results
+from tcmnet.experiments import DeskConfig, run_desk_experiment
+from tcmnet.metrics import write_report
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
     for name, med in results["median_eer"].items():
         print(f"median EER {name}: {med:.4f}")
     print(f"total: {results['total_seconds']:.0f}s")
-    write_results(results, args.out)
+    write_report(results, args.out)
     print(f"wrote {args.out}")
 
 

@@ -47,7 +47,7 @@ def cmd_gen_data(args):
             old.unlink(missing_ok=True)
         D.write_split(utts, split_dir)
         _say(f"wrote {len(utts)} utterances to {out_dir / split}")
-    cfg.write_echo(out_dir / "resolved_config.json")
+    M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
     return 0
 
 
@@ -72,7 +72,7 @@ def cmd_train(args):
         cfg.doc.setdefault("train", {})["class_weights"] = (
             TR.inverse_frequency_weights(train_utts)
         )
-    cfg.write_echo(out_dir / "resolved_config.json")
+    M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
     model_config = cfg.model_config(train_utts[0].F)
 
     log_path = out_dir / "train_log.jsonl"
@@ -139,7 +139,7 @@ def cmd_eval(args):
     report["mode"] = mode
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    active.write_echo(out_dir / "resolved_config.json")
+    M.write_report(active.resolved(), out_dir / "resolved_config.json")
     M.write_scores(records, out_dir / "scores.txt")
     M.write_report(report, out_dir / "report.json")
     print(M.report_json(report))
@@ -159,12 +159,12 @@ def _run_grid(args, variants, **fixed):
         [(tconf.seed, corpus)], base, variants(base), tconf, log=_say,
         costs=cfg.tdcf_costs(), mode=cfg.eval_mode(), config_echo=cfg.resolved(),
     )}
-    print(json.dumps(table, sort_keys=True, indent=2))
+    print(M.report_json(table))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        E.write_results(table, out_dir / "results.json")
-        cfg.write_echo(out_dir / "resolved_config.json")
+        M.write_report(table, out_dir / "results.json")
+        M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
     return 0
 
 
@@ -201,7 +201,7 @@ def cmd_params(args):
             f"+ {c.heads}*{c.dim}) = {tcm_param_delta(mc)}"
         ),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(M.report_json(report))
     return 0
 
 

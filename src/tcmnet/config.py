@@ -112,12 +112,6 @@ class RunConfig:
             out["tdcf"] = asdict(costs)
         return out
 
-    def write_echo(self, path):
-        Path(path).write_text(
-            json.dumps(self.resolved(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-
 
 def _validate(body, types, where=None):
     if not isinstance(body, dict):

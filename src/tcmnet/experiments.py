@@ -9,10 +9,8 @@ are deterministic given the config.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from statistics import median
 
 from .data import CorpusSpec, generate_corpus
@@ -114,8 +112,3 @@ def run_desk_experiment(config: DeskConfig, log=None):
     }
     return {"runs": runs, "median_eer": medians,
             "total_seconds": time.time() - started}
-
-
-def write_results(results, path):
-    Path(path).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

@@ -199,6 +199,7 @@ def evaluate(model, utts, mode="fixed", costs: TdcfCosts | None = None,
 
 
 def report_json(report):
+    """The JSON text of every report, results table and config echo."""
     return json.dumps(report, sort_keys=True, indent=2)
 
 

@@ -150,12 +150,20 @@ def _dropout(x, ctx):
 
 class Model:
     """Parameter container plus forward pass. Parameters live in an ordered
-    name -> Tensor dict so checkpoints have a complete unique inventory."""
+    name -> Tensor dict so checkpoints have a complete unique inventory. Their
+    values and gradients are views, in that order, into the vectors `flat` and
+    `grad`: write parameters in place (`data[...] = x`), never rebind `.data`."""
 
     def __init__(self, config: ModelConfig, seed=0):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
+        self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
+        self.grad = np.zeros_like(self.flat)
+        cuts = np.cumsum([t.size for t in self.params.values()])[:-1]
+        for t, data, grad in zip(self.params.values(), np.split(self.flat, cuts),
+                                 np.split(self.grad, cuts)):
+            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
 
     # -- construction -------------------------------------------------------
 
@@ -230,8 +238,7 @@ class Model:
         return self.params[name]
 
     def zero_grads(self):
-        for t in self.params.values():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
     # -- forward ------------------------------------------------------------
 
@@ -454,8 +461,7 @@ def tcm_param_delta(config: ModelConfig):
 def param_count(model: Model):
     """(total learnable scalars, those of the TCM as toggled: its `.tcm.`
     parameters)."""
-    total = sum(t.size for t in model.params.values())
-    return total, sum(t.size for name, t in model.params.items() if ".tcm." in name)
+    return model.flat.size, sum(t.size for name, t in model.params.items() if ".tcm." in name)
 
 
 def with_toggles(config: ModelConfig, **kw):

@@ -8,10 +8,10 @@ Gradients accumulate: repeated backward calls without ``zero_grad`` /
 ``reset_tape`` add up. Training code resets the tape once per step.
 
 The tape and the grad flag are per thread. One pool of worker threads,
-one per CPU usable at import, runs all parallel work. ``shard_rows`` splits
-a batch into contiguous row shards and runs each on a worker with its own
-tape; gradients that sum across the batch are deferred and reduced once
-over the whole batch, so results match the one-thread path bit for bit.
+one per CPU usable at import or fork, runs all parallel work. ``shard_rows``
+splits a batch into contiguous row shards and runs each on a worker with
+its own tape; gradients that sum across the batch are deferred and reduced
+once over the whole batch, so results match the one-thread path bit for bit.
 ``map_workers`` runs whole pieces of work on the same workers.
 
 Importing this module sets process-wide glibc malloc options (see
@@ -703,12 +703,20 @@ def _mark_worker():
     _state.in_shard = True
 
 
-# One worker thread per CPU usable at import, started on first use. Every
-# worker is marked, so `shard_rows` and `map_workers` called on one run
-# inline: pool tasks never wait on each other, and more tasks than
-# threads only queue.
-_POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="tcmnet-worker",
-                           initializer=_mark_worker)
+def _start_pool():
+    """One worker thread per CPU usable now, started on first use. Every
+    worker is marked, so `shard_rows` and `map_workers` called on one run
+    inline: pool tasks never wait on each other, and more tasks than
+    threads only queue. A forked child inherits the pool but none of its
+    threads, so it starts its own."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="tcmnet-worker",
+                               initializer=_mark_worker)
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _gather(futures):

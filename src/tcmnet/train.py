@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,30 +88,24 @@ def score_loss(scores, labels, class_weights):
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # moment vectors, sized by the first step
+    v: np.ndarray | None = None
     step: int = 0
 
 
-def adam_step(params, state: AdamState, lr, weight_decay=0.0,
+def adam_step(theta, grad, state: AdamState, lr, weight_decay=0.0,
               beta1=0.9, beta2=0.999, eps=1e-8):
-    """Classic Adam with L2 decay folded into the gradient, bias-corrected."""
+    """Classic Adam with L2 decay folded into the gradient, bias-corrected, in place."""
+    if state.step == 0:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if weight_decay:
-            g = g + weight_decay * p.data
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+    g = grad + weight_decay * theta if weight_decay else grad
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    theta -= lr * (state.m / (1.0 - beta1 ** t)) / (np.sqrt(state.v / (1.0 - beta2 ** t)) + eps)
 
 
 def batch_logits(model, features, drop=None):
@@ -126,13 +120,13 @@ def batch_logits(model, features, drop=None):
     return tt.shard_rows(rows, len(feats))
 
 
-def _check_finite(loss, params, epoch, batch):
+def _check_finite(loss, model, epoch, batch):
     where = f"at epoch {epoch}, batch {batch}"
     if not np.isfinite(loss.data):
         raise NonFiniteError(f"training loss is {loss.item()} {where}")
-    for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NonFiniteError(f"non-finite gradient for {name} {where}")
+    if not np.isfinite(model.grad).all():
+        name = next(n for n, p in model.params.items() if not np.isfinite(p.grad).all())
+        raise NonFiniteError(f"non-finite gradient for {name} {where}")
 
 
 def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
@@ -161,8 +155,8 @@ def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
         # free the graph before Adam and the next batch allocate, so their
         # arrays do not sit between the next step's activations
         tt.reset_tape()
-        _check_finite(loss, model.params, epoch, bi + 1)
-        adam_step(model.params, state, config.lr, config.weight_decay)
+        _check_finite(loss, model, epoch, bi + 1)
+        adam_step(model.flat, model.grad, state, config.lr, config.weight_decay)
         total += loss.item() * len(labels)
         count += len(labels)
     return total / count
@@ -270,7 +264,7 @@ def load_into_model(model: Model, ckpt: Checkpoint):
                 f"shape mismatch for {name}: model {model.params[name].data.shape} "
                 f"vs checkpoint {arr.shape}"
             )
-        model.params[name].data = arr.copy()
+        model.params[name].data[...] = arr
 
 
 def _loss_rank(ck):

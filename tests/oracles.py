@@ -159,6 +159,29 @@ def numpy_params(model):
     return {k: t.data.copy() for k, t in model.params.items()}
 
 
+def adam_per_parameter(params, grads, state, lr, weight_decay=0.0,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+    """Classic Adam with L2 decay folded into the gradient, one parameter
+    array at a time: `params` and `grads` map names to arrays, `state` is
+    {"m": {}, "v": {}, "step": 0}. Updates `params` and `state` in place."""
+    state["step"] += 1
+    t = state["step"]
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if weight_decay:
+            g = g + weight_decay * p
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(p)
+            state["v"][name] = np.zeros_like(p)
+        state["m"][name] = beta1 * state["m"][name] + (1.0 - beta1) * g
+        state["v"][name] = beta2 * state["v"][name] + (1.0 - beta2) * g * g
+        mhat = state["m"][name] / bc1
+        vhat = state["v"][name] / bc2
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 def read_scores_lines(text):
     """(id, score) pairs of an "id score" text read one line at a time, or
     the 1-based number of its first non-empty line that is not one space

@@ -40,12 +40,12 @@ def zero_params(model, keep_ln=True):
     for name, t in model.params.items():
         if keep_ln and (name.endswith("gamma")):
             continue
-        t.data = np.zeros_like(t.data)
+        t.data[...] = 0.0
 
 
 def share_params(dst: Model, src: Model):
     for name, t in dst.params.items():
-        t.data = src.params[name].data.copy()
+        t.data[...] = src.params[name].data
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_project_features_zero_weights():
 
 def test_project_features_identity():
     m = Model(small_config(feature_dim=8), seed=0)
-    m.p("proj.weight").data = np.eye(8)
+    m.p("proj.weight").data[...] = np.eye(8)
     x = np.random.default_rng(1).standard_normal((5, 8))
     assert np.array_equal(m.project_features(x).data, x)
 
@@ -153,7 +153,7 @@ def test_uniform_attention_outputs_row_mean():
     for n in ("wq", "wk"):
         m.p(f"block0.attn.{n}.weight").data[:] = 0.0
     for n in ("wv", "wo"):
-        m.p(f"block0.attn.{n}.weight").data = np.eye(8)
+        m.p(f"block0.attn.{n}.weight").data[...] = np.eye(8)
     x = np.random.default_rng(8).standard_normal((5, 8))
     ht = np.random.default_rng(9).standard_normal((2, 8))
     seq = TokenSequence(Tensor(x), T=4)
@@ -242,7 +242,7 @@ def test_use_tcm_false_is_plain_mhsa():
         small_config(toggles=TcmToggles(use_tcm=False)), seed=17
     )
     for name in plain_model.params:
-        plain_model.params[name].data = tcm_model.params[name].data.copy()
+        plain_model.params[name].data[...] = tcm_model.params[name].data
     x = np.random.default_rng(17).standard_normal((6, 8))
     a = plain_model.tcm_forward(TokenSequence(Tensor(x), T=5), "block0.").tokens.data
     b = tcm_model._mhsa(Tensor(x), "block0.").data

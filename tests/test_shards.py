@@ -2,6 +2,7 @@
 grad mode, and results that do not depend on the shard count."""
 
 import faulthandler
+import multiprocessing
 import os
 import re
 import sys
@@ -204,6 +205,31 @@ def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
     for n in (2, 3):
         for k, g in grads[1].items():
             assert np.array_equal(grads[n][k], g), (n, k)
+
+
+def _send_logits(m, feats, conn):
+    conn.send_bytes(batch_logits(m, feats).data.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_a_forked_child_runs_sharded_calls_on_a_pool_of_its_own(monkeypatch):
+    # the child inherits the parent's started pool, but none of its threads
+    _use_cpus(monkeypatch, 2)
+    m = Model(_config("conformer", VARIANTS[1][1]), seed=9)
+    feats = np.random.default_rng(9).standard_normal((4, 9, 6))
+    expected = batch_logits(m, feats).data.tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_logits, args=(m, feats, send))
+    child.start()
+    send.close()
+    child.join(timeout=20)
+    if child.is_alive():
+        child.terminate()
+        child.join()
+    assert child.exitcode == 0
+    assert recv.recv_bytes() == expected
 
 
 def test_no_grad_is_per_thread():

@@ -1,10 +1,12 @@
 import platform
 import resource
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import adam_per_parameter, numpy_params
 from tcmnet import tensor as tt
 from tcmnet.data import (
     CorpusSpec,
@@ -117,20 +119,18 @@ def test_wce_nonnegative_property():
 
 
 def test_adam_zero_grad_no_move():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.zeros(2)
+    theta = np.array([1.0, -2.0])
     state = AdamState()
-    adam_step({"p": p}, state, lr=0.1)
-    assert np.array_equal(p.data, [1.0, -2.0])
+    adam_step(theta, np.zeros(2), state, lr=0.1)
+    assert np.array_equal(theta, [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_lr():
-    p = Tensor(np.array([0.5, -0.5]), requires_grad=True)
-    p.grad = np.array([0.3, -4.0])
-    adam_step({"p": p}, AdamState(), lr=0.01)
+    theta = np.array([0.5, -0.5])
+    adam_step(theta, np.array([0.3, -4.0]), AdamState(), lr=0.01)
     # bias correction makes the first step lr * sign(g) (up to eps)
-    assert np.allclose(p.data, [0.5 - 0.01, -0.5 + 0.01], atol=1e-6)
+    assert np.allclose(theta, [0.5 - 0.01, -0.5 + 0.01], atol=1e-6)
 
 
 def test_adam_three_steps_match_hand_recurrence():
@@ -141,20 +141,76 @@ def test_adam_three_steps_match_hand_recurrence():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    p = Tensor(np.array([2.0]), requires_grad=True)
+    p = np.array([2.0])
     state = AdamState()
     for g in grads:
-        p.grad = np.array([g])
-        adam_step({"p": p}, state, lr=lr)
-    assert abs(p.data[0] - theta) <= 1e-12
+        adam_step(p, np.array([g]), state, lr=lr)
+    assert abs(p[0] - theta) <= 1e-12
 
 
 def test_adam_weight_decay_enters_gradient():
-    p = Tensor(np.array([10.0]), requires_grad=True)
-    p.grad = np.zeros(1)
-    adam_step({"p": p}, AdamState(), lr=0.01, weight_decay=0.1)
+    theta = np.array([10.0])
+    adam_step(theta, np.zeros(1), AdamState(), lr=0.01, weight_decay=0.1)
     # g = 0 + wd*theta > 0, first step is -lr * sign(g)
-    assert p.data[0] == pytest.approx(10.0 - 0.01, abs=1e-6)
+    assert theta[0] == pytest.approx(10.0 - 0.01, abs=1e-6)
+
+
+def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
+    model = Model(ModelConfig(feature_dim=64, dim=32, heads=4, blocks=2), seed=7)
+    params = numpy_params(model)
+    oracle = {"m": {}, "v": {}, "step": 0}
+    state = AdamState()
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        # gradients over six orders of magnitude, some exactly zero
+        model.grad[...] = rng.standard_normal(model.grad.size) * 10.0 ** rng.integers(
+            -4, 2, size=model.grad.size)
+        model.grad[rng.random(model.grad.size) < 0.05] = 0.0
+        grads = {k: t.grad.copy() for k, t in model.params.items()}
+        adam_step(model.flat, model.grad, state, lr=3e-3, weight_decay=1e-4)
+        adam_per_parameter(params, grads, oracle, lr=3e-3, weight_decay=1e-4)
+    for name, t in model.params.items():
+        assert t.data.tobytes() == params[name].tobytes(), name
+    assert state.step == oracle["step"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter store
+
+
+def _assert_views(model):
+    for name, t in model.params.items():
+        assert np.shares_memory(t.data, model.flat), name
+        assert np.shares_memory(t.grad, model.grad), name
+    assert np.array_equal(np.concatenate([t.data.ravel() for t in model.params.values()]),
+                          model.flat)
+
+
+def test_parameters_stay_views_of_the_flat_store():
+    corpus = tiny_corpus()
+    model = tiny_model(dropout=0.1)
+    _assert_views(model)
+    assert model.flat.size == model.grad.size == sum(
+        t.size for t in model.params.values())
+    result = train(model, corpus["train"], corpus["dev"], tiny_train_config())
+    _assert_views(model)
+    load_into_model(model, result.checkpoints[0])
+    _assert_views(model)
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, result.checkpoints[0].params[name]), name
+
+
+def test_non_finite_gradient_in_the_flat_store_names_its_parameter():
+    model = tiny_model()
+    names = list(model.params)
+    sizes = np.cumsum([0] + [t.size for t in model.params.values()])
+    i = names.index("block0.conv.dw.kernel")
+    model.grad[sizes[i] + 3] = np.nan
+    with pytest.raises(NonFiniteError,
+                       match="gradient for block0.conv.dw.kernel at epoch 2, batch 4$"):
+        _check_finite(Tensor(0.5), model, 2, 4)
+    model.grad[sizes[i] + 3] = 0.0
+    _check_finite(Tensor(0.5), model, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +261,13 @@ def test_non_finite_loss_names_epoch_and_batch():
 
 
 def test_non_finite_gradient_names_parameter_epoch_and_batch():
+    grad = np.array([0.0, 1.0, np.inf, 1.0])
     params = {"w": Tensor(np.ones(2), requires_grad=True),
               "b": Tensor(np.ones(2), requires_grad=True)}
-    params["w"].grad = np.array([0.0, 1.0])
-    params["b"].grad = np.array([np.inf, 1.0])
+    params["w"].grad, params["b"].grad = grad[:2], grad[2:]
+    model = SimpleNamespace(params=params, grad=grad)
     with pytest.raises(NonFiniteError, match="gradient for b at epoch 3, batch 7$"):
-        _check_finite(Tensor(0.5), params, 3, 7)
+        _check_finite(Tensor(0.5), model, 3, 7)
 
 
 @pytest.mark.parametrize("empty", ["train", "dev"])
