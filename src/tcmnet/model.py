@@ -91,7 +91,7 @@ class DropoutCtx:
     """Counter-based deterministic dropout masks keyed by (seed, epoch, batch).
 
     Each mask draw bumps a layer counter, so reruns of the same step see
-    the same mask sequence regardless of platform. A shard's context
+    the same mask sequence regardless of platform. A micro-batch's context
     (`rows`) draws only its rows of each full-batch mask, and a pruned
     block's mask only the leading rows of each utterance: Philox is a
     counter-based generator, so it jumps straight to each run of values.
@@ -125,7 +125,7 @@ class DropoutCtx:
         return keep / (1.0 - self.p)
 
     def rows(self, lo):
-        """The masks of a shard whose rows start at batch row `lo`."""
+        """The masks of a micro-batch whose rows start at batch row `lo`."""
         return DropoutCtx(self.p, *self.key, lo=lo)
 
 
@@ -152,18 +152,38 @@ class Model:
     """Parameter container plus forward pass. Parameters live in an ordered
     name -> Tensor dict so checkpoints have a complete unique inventory. Their
     values and gradients are views, in that order, into the vectors `flat` and
-    `grad`: write parameters in place (`data[...] = x`), never rebind `.data`."""
+    `grad`: write parameters in place (`data[...] = x`), never rebind `.data`.
+
+    `micro[i]` is the model that micro-batch i of a training step runs
+    (train.batch_logits): its own parameter Tensors, whose values are the
+    same views into `flat` and whose gradients are views into row i of
+    `micro_grad`, so micro-batches never write to one array."""
 
     def __init__(self, config: ModelConfig, seed=0):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
         self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
-        self.grad = np.zeros_like(self.flat)
-        cuts = np.cumsum([t.size for t in self.params.values()])[:-1]
-        for t, data, grad in zip(self.params.values(), np.split(self.flat, cuts),
-                                 np.split(self.grad, cuts)):
-            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
+        self._bind(self.params, np.zeros_like(self.flat))
+        self.micro_grad = np.zeros((tt.MICRO_BATCHES, self.flat.size))
+        self.micro = [self._replica(grad) for grad in self.micro_grad]
+
+    def _bind(self, params, grad):
+        """Take `params` and `grad` as this model's, each parameter's value a
+        view into `flat` and its gradient a view into `grad`."""
+        self.params, self.grad = params, grad
+        cuts = np.cumsum([t.size for t in params.values()])[:-1]
+        for t, data, g in zip(params.values(), np.split(self.flat, cuts),
+                              np.split(grad, cuts)):
+            t.data, t.grad = data.reshape(t.shape), g.reshape(t.shape)
+
+    def _replica(self, grad):
+        """A model on the same values whose gradients land in `grad`."""
+        replica = Model.__new__(Model)
+        replica.config, replica.flat = self.config, self.flat
+        replica._bind({name: Tensor(t.data, requires_grad=True)
+                       for name, t in self.params.items()}, grad)
+        return replica
 
     # -- construction -------------------------------------------------------
 
@@ -239,6 +259,13 @@ class Model:
 
     def zero_grads(self):
         self.grad.fill(0.0)
+
+    def add_micro_grads(self):
+        """grad += each micro-batch's gradient, in micro-batch order; the
+        micro-batch gradients are then zeroed."""
+        for grad in self.micro_grad:
+            self.grad += grad
+        self.micro_grad.fill(0.0)
 
     # -- forward ------------------------------------------------------------
 

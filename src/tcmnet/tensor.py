@@ -8,11 +8,11 @@ Gradients accumulate: repeated backward calls without ``zero_grad`` /
 ``reset_tape`` add up. Training code resets the tape once per step.
 
 The tape and the grad flag are per thread. One pool of worker threads,
-one per CPU usable at import or fork, runs all parallel work. ``shard_rows``
-splits a batch into contiguous row shards and runs each on a worker with
-its own tape; gradients that sum across the batch are deferred and reduced
-once over the whole batch, so results match the one-thread path bit for bit.
-``map_workers`` runs whole pieces of work on the same workers.
+one per CPU usable at import or fork, runs all parallel work through
+``map_workers``. ``shard_rows`` cuts a batch into ``MICRO_BATCHES`` fixed
+contiguous micro-batches, each with a tape of its own; the caller gives each
+its own parameters, so no op's backward knows about micro-batches, and
+results do not depend on the CPU count.
 
 Importing this module sets process-wide glibc malloc options (see
 ``_keep_freed_heap_pages``): a training step frees its whole tape at once,
@@ -41,9 +41,10 @@ _M_ARENA_MAX = -8
 # Blocks up to 32 MB (the largest glibc accepts) come from the heap, not
 # from mmap, so freeing one does not hand its pages back to the kernel.
 _MMAP_THRESHOLD_BYTES = 32 << 20
-# Above the heap a training step uses (about 150 MB at desk shape), so
-# freeing the tape does not trim the heap top.
-_TRIM_THRESHOLD_BYTES = 512 << 20
+# Never trim the heap top: a step frees its whole tape, and a trimmed top
+# faults back in at the next step (140k pages per step at D=144, L=4, B=20,
+# T=200 with a 512 MB threshold).
+_TRIM_THRESHOLD_BYTES = -1
 
 
 def _keep_freed_heap_pages():
@@ -51,7 +52,7 @@ def _keep_freed_heap_pages():
 
     Both thresholds are set: fixing only the trim threshold also turns off
     glibc's dynamic mmap threshold, and large arrays then fault more, not
-    less. One arena serves every thread, so shard workers reuse the pages
+    less. One arena serves every thread, so pool workers reuse the pages
     the main thread freed instead of growing arenas of their own. A no-op
     where the C library has no ``mallopt`` (not glibc).
     """
@@ -70,12 +71,12 @@ _keep_freed_heap_pages()
 
 
 def _pin_blas_to_one_thread():
-    """Row shards already use every core, and BLAS threads on top of them
-    only contend. Pinned at import, not at the first sharded call: some
-    products (q k^T at S=255, d=8) differ in the last bit between one and
-    two OpenBLAS threads, so a B=1 score computed before the first
-    sharded call would not match the same score computed after it. A
-    no-op where numpy does not bundle scipy-openblas."""
+    """Micro-batches and scoring chunks already use every core, and BLAS
+    threads on top of them only contend. Pinned at import, not at the
+    first parallel call: some products (q k^T at S=255, d=8) differ in the
+    last bit between one and two OpenBLAS threads, so a B=1 score computed
+    before the first parallel call would not match the same score computed
+    after it. A no-op where numpy does not bundle scipy-openblas."""
     try:
         from numpy._core import _multiarray_umath
         set_threads = ctypes.CDLL(_multiarray_umath.__file__) \
@@ -125,7 +126,10 @@ class Tensor:
             self.grad = np.array(np.broadcast_to(g, self.data.shape))
 
     def zero_grad(self):
-        self.grad = None
+        """Zero .grad in place: a parameter's .grad is a view into a flat
+        gradient vector, and must stay one."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def item(self):
         return float(self.data)
@@ -155,16 +159,13 @@ _TAPE = ComputationTape()  # the main thread's tape
 
 class _ThreadState(threading.local):
     """Per-thread autodiff state: the tape ops record to, the grad flag,
-    in a shard's backward the list its batch reductions go to, and whether
-    this thread is a pool worker (`in_shard`)."""
+    and whether this thread is a pool worker (`in_worker`)."""
 
     def __init__(self):
         main = threading.current_thread() is threading.main_thread()
         self.tape = _TAPE if main else ComputationTape()
         self.grad_enabled = True
-        self.pending = None
-        self.in_shard = False
-        self.scratch = np.empty(0)  # shard workers' concatenation buffer
+        self.in_worker = False
 
 
 _state = _ThreadState()
@@ -216,25 +217,9 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _batch_reduce(fn, *rows):
-    """Accumulate a gradient that sums over the batch: `fn(*rows)` returns
-    (tensor, gradient) pairs, and every array in `rows` has the batch on
-    its leading axis. In a shard's backward the call is recorded instead;
-    `shard_rows` runs it once over the rows of every shard."""
-    if _state.pending is None:
-        for t, g in fn(*rows):
-            t.accum_grad(g, fresh=True)
-    else:
-        _state.pending.append((fn, rows))
-
-
 def _accum_unbroadcast(t, g, fresh=False):
     """Add g, summed back to t's shape after numpy broadcasting, to t.grad."""
-    shape = t.data.shape
-    if g.ndim > len(shape):  # t has no batch axis: the sum crosses the batch
-        _batch_reduce(lambda g: ((t, _unbroadcast(g, shape)),), g)
-    else:
-        t.accum_grad(_unbroadcast(g, shape), fresh=fresh)
+    t.accum_grad(_unbroadcast(g, t.data.shape), fresh=fresh)
 
 
 def _replay(tape):
@@ -381,16 +366,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     y += beta.data
     out = _make(y.reshape(x.data.shape), x, gamma, beta)
 
-    def reduce(gg, xhat):
-        if gamma.requires_grad:
-            yield gamma, (gg * xhat).sum(axis=0)
-        if beta.requires_grad:
-            yield beta, gg.sum(axis=0)
-
     def bwd(g):
         gg = g.reshape(xd.shape)
-        if gamma.requires_grad or beta.requires_grad:
-            _batch_reduce(reduce, gg, xhat)
+        if gamma.requires_grad:
+            gamma.accum_grad((gg * xhat).sum(axis=0), fresh=True)
+        if beta.requires_grad:
+            beta.accum_grad(gg.sum(axis=0), fresh=True)
         if x.requires_grad:
             dxhat = gg * gamma.data
             dx = inv * (
@@ -495,19 +476,16 @@ def depthwise_conv1d(x, kernel):
     xp = _pad_rows(x.data, K)
     out = _make(_conv_taps(xp, kernel.data), x, kernel)
 
-    def reduce(g, xp):
-        axes = tuple(range(g.ndim - 1))
-        dk = np.empty((K, D))
-        tap = np.empty(g.shape)  # one product buffer for every tap
-        for k in range(K):
-            dk[k] = np.multiply(g, xp[..., k : k + T, :], out=tap).sum(axis=axes)
-        return ((kernel, dk),)
-
     def bwd(g):
         if x.requires_grad:  # dx_t = sum_k g_{t+K//2-k} w_k
             x.accum_grad(_conv_taps(_pad_rows(g, K), kernel.data, mirror=True), fresh=True)
         if kernel.requires_grad:
-            _batch_reduce(reduce, g, xp)
+            axes = tuple(range(g.ndim - 1))
+            dk = np.empty((K, D))
+            tap = np.empty(g.shape)  # one product buffer for every tap
+            for k in range(K):
+                dk[k] = np.multiply(g, xp[..., k : k + T, :], out=tap).sum(axis=axes)
+            kernel.accum_grad(dk, fresh=True)
 
     _record(out, bwd)
     return out
@@ -551,17 +529,13 @@ def affine(x, w, b):
     y += b.data
     out = _make(y, x, w, b)
 
-    def reduce(xd, g):
-        if w.requires_grad:
-            yield w, xd.reshape(-1, din).T @ g.reshape(-1, dout)
-        if b.requires_grad:
-            yield b, g.reshape(-1, dout).sum(axis=0)
-
     def bwd(g):
         if x.requires_grad:
             x.accum_grad(g @ w.data.T, fresh=True)
-        if w.requires_grad or b.requires_grad:
-            _batch_reduce(reduce, x.data, g)
+        if w.requires_grad:
+            w.accum_grad(x.data.reshape(-1, din).T @ g.reshape(-1, dout), fresh=True)
+        if b.requires_grad:
+            b.accum_grad(g.reshape(-1, dout).sum(axis=0), fresh=True)
 
     _record(out, bwd)
     return out
@@ -689,7 +663,11 @@ def mhsa_core(q, k, v, heads, trace=None):
 
 
 # ---------------------------------------------------------------------------
-# worker threads and row shards
+# worker threads and micro-batches
+
+# Micro-batches per training batch: a constant, not the CPU count, so that
+# gradients are the same sums on any machine.
+MICRO_BATCHES = 2
 
 
 def _usable_cpus():
@@ -700,14 +678,13 @@ def _usable_cpus():
 
 
 def _mark_worker():
-    _state.in_shard = True
+    _state.in_worker = True
 
 
 def _start_pool():
     """One worker thread per CPU usable now, started on first use. Every
-    worker is marked, so `shard_rows` and `map_workers` called on one run
-    inline: pool tasks never wait on each other, and more tasks than
-    threads only queue. A forked child inherits the pool but none of its
+    worker is marked, so `map_workers` called on one runs inline: pool
+    tasks never wait on each other, and more tasks than threads only queue. A forked child inherits the pool but none of its
     threads, so it starts its own."""
     global _POOL
     _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="tcmnet-worker",
@@ -729,83 +706,50 @@ def _gather(futures):
     return [f.result() for f in futures]
 
 
-def _on_tape(tape, grad, fn, lo, hi):
-    """fn(lo, hi) recording to `tape` with grad mode `grad`; the worker's
+def _on_tape(tape, grad, fn, *args):
+    """fn(*args) recording to `tape` with grad mode `grad`; the thread's
     own tape and mode are restored after."""
     st = _state
     saved = st.tape, st.grad_enabled
     st.tape, st.grad_enabled = tape, grad
     try:
-        return fn(lo, hi)
+        return fn(*args)
     finally:
         st.tape, st.grad_enabled = saved
 
 
-def _shard_backward(out, tape, g):
-    """Replays one shard's tape from its rows g of the gradient; returns
-    the batch reductions it deferred."""
-    st = _state
-    st.pending = pending = []
-    try:
-        out.accum_grad(g)
-        _replay(tape)
-    finally:
-        st.pending = None
-    return pending
+def shard_rows(fn, rows, after_backward=None):
+    """fn(i, lo, hi) -> Tensor whose leading axis holds rows lo:hi of a
+    batch, computed from micro-batch i's own parameters.
 
-
-def _reduce_rows(entry):
-    """One deferred batch reduction over the rows of every shard. Each
-    operand's rows are concatenated, in shard order, into this worker's
-    scratch buffer: fresh arrays here, with the whole step's graph alive,
-    would land above the heap's high-water mark and fault new pages."""
-    fn = entry[0][0]
-    operands = list(zip(*(rows for _, rows in entry)))
-    shapes = [(sum(len(p) for p in parts),) + parts[0].shape[1:] for parts in operands]
-    sizes = [math.prod(shape) for shape in shapes]
-    if _state.scratch.size < sum(sizes):
-        _state.scratch = np.empty(sum(sizes))
-    cats, off = [], 0
-    for parts, shape, size in zip(operands, shapes, sizes):
-        cats.append(np.concatenate(parts, out=_state.scratch[off : off + size].reshape(shape)))
-        off += size
-    return list(fn(*cats))
-
-
-def shard_rows(fn, rows):
-    """fn(lo, hi) -> Tensor whose leading axis holds rows lo:hi of a batch.
-
-    The batch is cut into contiguous row shards, one per usable CPU, and
-    each shard's fn, and later its backward, runs on a worker thread with
-    its own tape. Returns the shard results concatenated along axis 0: one
-    node on the caller's tape, whose backward hands each shard its rows of
-    the gradient, then runs every deferred batch reduction once over the
-    whole batch, in tape order, so gradients equal the one-thread ones bit
-    for bit. Only that node holds the shards' tapes, so resetting the
-    caller's tape frees them. A batch of one, or a call from a worker
-    thread, runs fn(0, rows) on the calling thread.
+    The batch is cut into min(MICRO_BATCHES, rows) contiguous micro-batches,
+    and each one's fn, and later its backward, runs through `map_workers`
+    on a tape of its own: in parallel on several CPUs, in turn on one or on
+    a worker. Returns the results concatenated along axis 0: one node on the
+    caller's tape, whose backward hands each micro-batch its rows of the
+    gradient, replays its tape, then calls `after_backward()` on the
+    calling thread. Only that node holds the micro-batch tapes, so
+    resetting the caller's tape frees them.
     """
-    n = min(_usable_cpus(), rows)
-    if n < 2 or _state.in_shard:
-        return fn(0, rows)
+    n = max(1, min(MICRO_BATCHES, rows))
     bounds = [rows * i // n for i in range(n + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    spans = list(zip(range(n), bounds[:-1], bounds[1:]))
     tapes = [ComputationTape() for _ in spans]
     grad = _state.grad_enabled
-    outs = _gather([_POOL.submit(_on_tape, tape, grad, fn, lo, hi)
-                    for tape, (lo, hi) in zip(tapes, spans)])
+    outs = map_workers(lambda span: _on_tape(tapes[span[0]], grad, fn, *span), spans)
     out = _make(np.concatenate([o.data for o in outs]), *outs)
     if not out.requires_grad:
         return out
 
     def bwd(g):
-        pending = _gather([_POOL.submit(_shard_backward, o, tape, g[lo:hi])
-                           for o, tape, (lo, hi) in zip(outs, tapes, spans)])
-        if len({len(p) for p in pending}) != 1:
-            raise ShapeError("shards recorded different batch reductions")
-        for pairs in _gather([_POOL.submit(_reduce_rows, e) for e in zip(*pending)]):
-            for t, tg in pairs:
-                t.accum_grad(tg, fresh=True)
+        def replay(span):
+            i, lo, hi = span
+            outs[i].accum_grad(g[lo:hi])
+            _replay(tapes[i])
+
+        map_workers(replay, spans)
+        if after_backward is not None:
+            after_backward()
 
     _record(out, bwd)
     return out
@@ -815,11 +759,11 @@ def map_workers(fn, items):
     """[fn(item) for item in items], each call on a worker thread.
 
     For work that is already cut into whole pieces (scoring chunks): one
-    piece per worker, no rows split, and a `shard_rows` inside fn runs
+    piece per worker, and a `map_workers` or `shard_rows` inside fn runs
     inline on its worker. Results are in input order; the first error is
     raised only after every call has finished. With one usable CPU, or
     from a worker, the calls run on the calling thread.
     """
-    if min(_usable_cpus(), len(items)) < 2 or _state.in_shard:
+    if min(_usable_cpus(), len(items)) < 2 or _state.in_worker:
         return [fn(item) for item in items]
     return _gather([_POOL.submit(fn, item) for item in items])

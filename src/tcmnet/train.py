@@ -109,15 +109,18 @@ def adam_step(theta, grad, state: AdamState, lr, weight_decay=0.0,
 
 
 def batch_logits(model, features, drop=None):
-    """(B, 2) logits for a B x T x F feature array: Model.forward_batch in
-    row shards on worker threads (tensor.shard_rows), each drawing its own
-    rows of the dropout masks; logits and gradients equal one thread's."""
+    """(B, 2) logits for a B x T x F feature array: Model.forward_batch on
+    fixed contiguous micro-batches (tensor.shard_rows), each with its own
+    parameters (Model.micro) and its own rows of the dropout masks. Their
+    backward sums the micro-batch gradients into Model.grad in order, so
+    results do not depend on the CPU count."""
     feats = np.asarray(features)
 
-    def rows(lo, hi):
-        return model.forward_batch(feats[lo:hi], drop=None if drop is None else drop.rows(lo))
+    def micro_batch(i, lo, hi):
+        return model.micro[i].forward_batch(
+            feats[lo:hi], drop=None if drop is None else drop.rows(lo))
 
-    return tt.shard_rows(rows, len(feats))
+    return tt.shard_rows(micro_batch, len(feats), after_backward=model.add_micro_grads)
 
 
 def _check_finite(loss, model, epoch, batch):

@@ -1,5 +1,6 @@
-"""Row shards on worker threads (`tensor.shard_rows`): per-thread tape and
-grad mode, and results that do not depend on the shard count."""
+"""Micro-batches and scoring chunks on worker threads (`tensor.shard_rows`,
+`tensor.map_workers`): per-thread tape and grad mode, and results that do
+not depend on the CPU count."""
 
 import faulthandler
 import multiprocessing
@@ -146,7 +147,7 @@ def test_training_after_scoring_records_on_shard_tapes(n, monkeypatch):
     monkeypatch.setattr(Model, "forward_batch", recording)
     train_epoch(m, corpus["train"], TrainConfig(batch_size=6, target_T=10), 1,
                 AdamState(), [1.0, 1.0])
-    assert seen == [(True, True, True)] * n
+    assert seen == [(True, True, True)] * tt.MICRO_BATCHES
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -202,9 +203,40 @@ def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
         logits = batch_logits(m, feats, drop=DropoutCtx(0.2, 6))
         tt.backward(tt.sum_all(tt.mul(logits, Tensor([[1.0, -2.0]]))))
         grads[n] = {k: t.grad.copy() for k, t in m.params.items()}
+    assert np.count_nonzero(m.grad) > m.grad.size // 2
     for n in (2, 3):
         for k, g in grads[1].items():
             assert np.array_equal(grads[n][k], g), (n, k)
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+@pytest.mark.parametrize("B", [1, 7, 20])
+def test_step_gradient_is_the_in_order_sum_of_the_micro_batch_gradients(
+        kind, B, monkeypatch, busy_threads):
+    _use_cpus(monkeypatch, 2)
+    m = Model(_config(kind, TcmToggles()), seed=B)
+    rng = np.random.default_rng(B)
+    feats, w = rng.standard_normal((B, 9, 6)), rng.standard_normal((B, 2))
+    drop = DropoutCtx(0.2, 5, 1, 2)
+    m.zero_grads()
+    logits = batch_logits(m, feats, drop=drop)
+    tt.backward(tt.sum_all(tt.mul(logits, Tensor(w))))
+    got = m.grad.copy()
+    tt.reset_tape()
+    # the oracle: each micro-batch's own gradient, one after another on
+    # this thread, added in micro-batch order
+    n = min(tt.MICRO_BATCHES, B)
+    bounds = [B * i // n for i in range(n + 1)]
+    want = np.zeros_like(got)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m.zero_grads()
+        out = m.forward_batch(feats[lo:hi], drop=drop.rows(lo))
+        tt.backward(tt.sum_all(tt.mul(out, Tensor(w[lo:hi]))))
+        tt.reset_tape()
+        want += m.grad
+    assert np.count_nonzero(got) > got.size // 2
+    assert np.array_equal(got, want)
+    assert not m.micro_grad.any()
 
 
 def _send_logits(m, feats, conn):
@@ -279,9 +311,9 @@ def test_shard_nodes_stay_off_the_callers_tape(monkeypatch):
     feats = np.random.default_rng(7).standard_normal((4, 9, 6))
     shard_tapes = []
 
-    def rows(lo, hi):
+    def rows(i, lo, hi):
         shard_tapes.append(weakref.ref(tt.active_tape()))
-        return m.forward_batch(feats[lo:hi])
+        return m.micro[i].forward_batch(feats[lo:hi])
 
     logits = tt.shard_rows(rows, 4)
     main = tt.active_tape()
@@ -319,7 +351,7 @@ def test_shard_tapes_are_freed_after_a_training_step(monkeypatch):
 def test_shard_error_reaches_the_caller(monkeypatch):
     _use_cpus(monkeypatch, 2)
 
-    def rows(lo, hi):
+    def rows(i, lo, hi):
         if lo:
             raise ValueError(f"bad rows {lo}:{hi}")
         return Tensor(np.zeros((hi - lo, 2)))
@@ -333,8 +365,8 @@ def test_shard_rows_inside_a_shard_runs_on_that_shards_thread(monkeypatch, busy_
     _use_cpus(monkeypatch, 2)
     threads = []
 
-    def outer(lo, hi):
-        def inner(a, b):
+    def outer(i, lo, hi):
+        def inner(j, a, b):
             threads.append((threading.current_thread(), outer_thread))
             return Tensor(np.arange(lo + a, lo + b, dtype=float)[:, None])
 
@@ -343,7 +375,7 @@ def test_shard_rows_inside_a_shard_runs_on_that_shards_thread(monkeypatch, busy_
 
     out = tt.shard_rows(outer, 4)
     assert out.data[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert len(threads) == 2 and all(t is o for t, o in threads)
+    assert len(threads) == 4 and all(t is o for t, o in threads)
 
 
 def test_calls_inside_a_map_workers_item_run_on_that_items_thread(monkeypatch, busy_threads):
@@ -356,7 +388,7 @@ def test_calls_inside_a_map_workers_item_run_on_that_items_thread(monkeypatch, b
         inner = tt.map_workers(lambda _: threading.current_thread(), [0, 1, 2])
         shard_threads = []
 
-        def rows(lo, hi):
+        def rows(i, lo, hi):
             shard_threads.append(threading.current_thread())
             return Tensor(np.zeros((hi - lo, 1)))
 
@@ -368,7 +400,7 @@ def test_calls_inside_a_map_workers_item_run_on_that_items_thread(monkeypatch, b
     assert len(seen) == 4
     for me, inner, shard_threads in seen:
         assert me is not threading.main_thread()
-        assert inner == [me] * 3 and shard_threads == [me]
+        assert inner == [me] * 3 and shard_threads == [me] * tt.MICRO_BATCHES
 
 
 def test_map_workers_runs_at_most_one_call_per_usable_cpu():

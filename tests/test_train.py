@@ -30,6 +30,7 @@ from tcmnet.train import (
     _check_finite,
     adam_step,
     average_checkpoints,
+    batch_logits,
     checkpoint_from_model,
     early_stop,
     inverse_frequency_weights,
@@ -184,6 +185,18 @@ def _assert_views(model):
         assert np.shares_memory(t.grad, model.grad), name
     assert np.array_equal(np.concatenate([t.data.ravel() for t in model.params.values()]),
                           model.flat)
+    # each micro-batch's parameters: the same values, a gradient row of its own
+    assert model.micro_grad.shape == (tt.MICRO_BATCHES, model.flat.size)
+    assert len(model.micro) == tt.MICRO_BATCHES
+    for i, micro in enumerate(model.micro):
+        assert list(micro.params) == list(model.params)
+        for name, t in micro.params.items():
+            own = model.params[name]
+            assert t is not own and np.shares_memory(t.data, own.data), (i, name)
+            assert t.data.shape == own.data.shape, (i, name)
+            for j, row in enumerate(model.micro_grad):
+                assert np.shares_memory(t.grad, row) == (i == j), (i, j, name)
+            assert not np.shares_memory(t.grad, model.grad), (i, name)
 
 
 def test_parameters_stay_views_of_the_flat_store():
@@ -198,6 +211,24 @@ def test_parameters_stay_views_of_the_flat_store():
     _assert_views(model)
     for name, t in model.params.items():
         assert np.array_equal(t.data, result.checkpoints[0].params[name]), name
+
+
+def test_zero_grad_on_a_parameter_keeps_it_a_view_of_the_flat_gradient():
+    model = tiny_model()
+    feats = np.random.default_rng(4).standard_normal((3, 9, 6))
+    sizes = np.cumsum([0] + [t.size for t in model.params.values()])
+    i = list(model.params).index("head.bias")
+    head_bias = model.p("head.bias")
+    head_bias.zero_grad()
+    tt.backward(tt.sum_all(model.forward_batch(feats)))
+    assert np.array_equal(head_bias.grad, model.grad[sizes[i] : sizes[i + 1]])
+    assert head_bias.grad.any()
+    # a micro-batch parameter stays a view of its micro-batch's gradient row
+    tt.reset_tape()
+    model.zero_grads()
+    model.micro[-1].p("head.bias").zero_grad()
+    tt.backward(tt.sum_all(batch_logits(model, feats)))
+    assert np.array_equal(head_bias.grad, feats.shape[0] * np.ones(2))
 
 
 def test_non_finite_gradient_in_the_flat_store_names_its_parameter():
