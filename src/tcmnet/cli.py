@@ -99,8 +99,7 @@ def cmd_train(args):
 
 
 def _model_from_checkpoint(ckpt: TR.Checkpoint, feature_dim):
-    echo = ckpt.config_echo
-    cfg = RunConfig(echo if isinstance(echo, dict) else {})
+    cfg = RunConfig(ckpt.config_echo)
     model_config = cfg.model_config(feature_dim)
     model = Model(model_config, seed=0)
     TR.load_into_model(model, ckpt)

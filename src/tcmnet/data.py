@@ -64,6 +64,9 @@ class CorpusSpec:
     pattern_seed: int = 1234
 
     def __post_init__(self):
+        for name in ("seed", "pattern_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if min(self.n_train, self.n_dev, self.n_eval) < 1:
             raise ConfigError("every split needs at least one utterance")
         if not 1 <= self.band_width <= self.feature_dim:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from statistics import median
 
 from .data import CorpusSpec, generate_corpus
-from .metrics import TdcfCosts, evaluate
+from .metrics import evaluate
 from .model import Model, ModelConfig, TcmToggles
 from .tensor import ConfigError
 from .train import TrainConfig, load_into_model, train
@@ -43,10 +43,9 @@ class DeskConfig:
         feature_dim=64, dim=32, heads=4, blocks=2, dropout=0.1))
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=3e-3, max_epochs=2, target_T=100, top_k_average=1))
-    # Eval-time crop length; None means reuse the training crop. Scoring
-    # longer windows than were trained on is cheap and reduces eval noise.
-    eval_target_T: int | None = 125
-    costs: TdcfCosts | None = None
+    # Eval-time crop length: scoring longer windows than were trained on is
+    # cheap and reduces eval noise.
+    eval_target_T: int = 125
 
 
 def run_variant(corpus, model_config, train_config, costs=None, target_T=None,
@@ -104,8 +103,7 @@ def run_desk_experiment(config: DeskConfig, log=None):
     corpora = ((s, generate_corpus(replace(config.corpus, seed=s)))
                for s in config.seeds)
     runs = run_grid(corpora, config.model, toggle_variants(DESK_VARIANTS),
-                    config.train, log=log, costs=config.costs,
-                    target_T=config.eval_target_T)
+                    config.train, log=log, target_T=config.eval_target_T)
     medians = {
         name: median([r["eer"] for r in runs if r["variant"] == name])
         for name in DESK_VARIANTS

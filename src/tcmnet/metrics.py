@@ -13,6 +13,7 @@ rational inputs, so independent reimplementations can agree bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,10 @@ class TdcfCosts:
     c2: float
 
     def __post_init__(self):
+        for name in ("c0", "c1", "c2"):
+            cost = getattr(self, name)
+            if not abs(cost) < math.inf:  # NaN fails it too
+                raise ConfigError(f"t-DCF cost {name} must be finite, got {cost}")
         if self.c0 < 0 or self.c1 <= 0 or self.c2 <= 0:
             raise ConfigError(
                 f"t-DCF costs need c0 >= 0 and c1, c2 > 0, got "

@@ -47,8 +47,10 @@ class ModelConfig:
     toggles: TcmToggles = field(default_factory=TcmToggles)
 
     def __post_init__(self):
-        if self.blocks < 1 or self.heads < 1:
-            raise ConfigError("blocks and heads must be >= 1")
+        for name in ("feature_dim", "dim", "heads", "blocks", "conv_kernel",
+                     "ffn_expansion"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(
                 f"model dim {self.dim} not divisible by head count {self.heads}"
@@ -273,10 +275,7 @@ class Model:
         """(..., T, F) -> (..., T, D) affine map, plus optional sinusoidal
         positions."""
         c = self.config
-        if isinstance(features, Tensor):
-            x = features
-        else:
-            x = Tensor(features)
+        x = Tensor(features)
         if x.shape[-1] != c.feature_dim:
             raise ConfigError(
                 f"feature dim {x.shape[-1]} does not match config {c.feature_dim}"
@@ -335,12 +334,13 @@ class Model:
         head_out = tt.slice_axis(out, -2, n_temporal, n_temporal + c.heads)
         return temporal, head_out
 
-    def enrich_cls(self, temporal, head_out, T):
+    def enrich_cls(self, temporal, head_out):
         """CLS' = CLS + mean head token + mean temporal token, per toggles."""
         c = self.config
         tg = c.toggles
         if not (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls):
             return temporal
+        T = temporal.shape[-2] - 1
         cls_row = tt.slice_axis(temporal, -2, 0, 1)
         rest = tt.slice_axis(temporal, -2, 1, T + 1)
         if tg.add_mean_ht_to_cls:
@@ -362,16 +362,16 @@ class Model:
                                  seq.T)
         ht = self.generate_head_tokens(seq, prefix)
         temporal, head_out = self.tcm_attention(seq, ht, prefix, trace=trace, rows=rows)
-        return TokenSequence(self.enrich_cls(temporal, head_out, seq.T), seq.T)
+        return TokenSequence(self.enrich_cls(temporal, head_out), seq.T)
 
-    def _ffn(self, x, prefix, half, drop):
-        c = self.config
+    def _ffn(self, x, prefix, drop):
+        conformer = self.config.block_kind == "conformer"
         h = tt.layer_norm(x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"))
         h = tt.affine(h, self.p(prefix + "lin1.weight"), self.p(prefix + "lin1.bias"))
-        h = tt.swish(h) if c.block_kind == "conformer" else tt.gelu(h)
+        h = tt.swish(h) if conformer else tt.gelu(h)
         h = tt.affine(h, self.p(prefix + "lin2.weight"), self.p(prefix + "lin2.bias"))
         h = _dropout(h, drop)
-        return tt.add(x, tt.scale(h, 0.5) if half else h)
+        return tt.add(x, tt.scale(h, 0.5) if conformer else h)
 
     def _conv_module(self, x, prefix):
         c = self.config
@@ -391,7 +391,7 @@ class Model:
         )
         return tt.add(x, h)
 
-    def _attention_residual(self, x, T, prefix, drop, trace, rows=None):
+    def _attention_residual(self, x, prefix, drop, trace, rows=None):
         """x + dropout(attention(layer_norm(x))), at x's leading `rows` rows
         only when `rows` is given. The attention then computes only those
         query rows too, unless a CLS enrichment reads the others or a trace
@@ -400,7 +400,7 @@ class Model:
         enriched = tg.use_tcm and (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls)
         query_rows = None if enriched or trace is not None else rows
         h = tt.layer_norm(x, self.p(prefix + "ln_attn.gamma"), self.p(prefix + "ln_attn.beta"))
-        attn = self.tcm_forward(TokenSequence(h, T), prefix, trace=trace,
+        attn = self.tcm_forward(TokenSequence(h, x.shape[-2] - 1), prefix, trace=trace,
                                 rows=query_rows).tokens
         if rows is not None:
             x = tt.slice_axis(x, -2, 0, rows)
@@ -408,42 +408,33 @@ class Model:
                 attn = tt.slice_axis(attn, -2, 0, rows)
         return tt.add(x, _dropout(attn, drop))
 
-    def conformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
-                                cls_only=False):
-        """One block; `cls_only` computes only the CLS row after attention:
-        the conv output's row 0 reads input rows 0..K//2."""
+    def block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
+                      cls_only=False):
+        """One block; `cls_only` computes only the CLS row after attention: a
+        Transformer's FFN runs on that row alone, a Conformer's conv output
+        row 0 reads input rows 0..K//2."""
         p = f"block{b}."
-        x = self._ffn(seq.tokens, p + "ffn1.", half=True, drop=drop)
+        T = 0 if cls_only else seq.T
+        if self.config.block_kind == "transformer":
+            x = self._attention_residual(seq.tokens, p, drop, trace,
+                                         1 if cls_only else None)
+            return TokenSequence(self._ffn(x, p + "ffn.", drop), T)
+        x = self._ffn(seq.tokens, p + "ffn1.", drop)
         rows = min(self.config.conv_kernel // 2 + 1, seq.T + 1) if cls_only else None
-        x = self._attention_residual(x, seq.T, p, drop, trace, rows)
+        x = self._attention_residual(x, p, drop, trace, rows)
         x = self._conv_module(x, p)
         if cls_only:
             x = tt.slice_axis(x, -2, 0, 1)
-        x = self._ffn(x, p + "ffn2.", half=True, drop=drop)
+        x = self._ffn(x, p + "ffn2.", drop)
         x = tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
-        return TokenSequence(x, 0 if cls_only else seq.T)
-
-    def transformer_block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
-                                  cls_only=False):
-        """One block; `cls_only` runs the FFN on the CLS row alone."""
-        p = f"block{b}."
-        x = self._attention_residual(seq.tokens, seq.T, p, drop, trace,
-                                     1 if cls_only else None)
-        x = self._ffn(x, p + "ffn.", half=False, drop=drop)
-        return TokenSequence(x, 0 if cls_only else seq.T)
-
-    def block_forward(self, seq, b, drop=None, trace=None, cls_only=False):
-        block = (self.conformer_block_forward if self.config.block_kind == "conformer"
-                 else self.transformer_block_forward)
-        return block(seq, b, drop=drop, trace=trace, cls_only=cls_only)
+        return TokenSequence(x, T)
 
     def forward_batch(self, features, drop=None, trace=None):
         """(B, T, F) stacked same-length features -> (B, 2) logits."""
-        feats = features.data if isinstance(features, Tensor) else np.asarray(features)
+        feats = np.asarray(features)
         if feats.ndim != 3 or feats.shape[1] == 0:
             raise ConfigError(f"expected B x T x F features, got {feats.shape}")
-        x = self.project_features(features if isinstance(features, Tensor)
-                                  else Tensor(feats))
+        x = self.project_features(feats)
         if drop is not None:  # the pruned last block's masks keep the full rows
             drop.tokens = feats.shape[1] + 1
         seq = self.prepend_cls(x)
@@ -453,13 +444,13 @@ class Model:
         out = tt.affine(seq.tokens, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
 
-    def forward(self, features, drop=None, trace=None):
+    def forward(self, features, trace=None):
         """T x F features -> (score, logits), as a batch of one.
         Score = bonafide - spoof logit."""
         feats = np.asarray(features)
         if feats.ndim != 2:
             raise ConfigError(f"expected T x F features, got {feats.shape}")
-        batch = self.forward_batch(feats[None], drop=drop, trace=trace)
+        batch = self.forward_batch(feats[None], trace=trace)
         logits = tt.reshape(batch, (2,))
         return float(logits.data[0] - logits.data[1]), logits
 

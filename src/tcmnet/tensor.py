@@ -154,16 +154,12 @@ class ComputationTape:
         return len(self.ops)
 
 
-_TAPE = ComputationTape()  # the main thread's tape
-
-
 class _ThreadState(threading.local):
     """Per-thread autodiff state: the tape ops record to, the grad flag,
     and whether this thread is a pool worker (`in_worker`)."""
 
     def __init__(self):
-        main = threading.current_thread() is threading.main_thread()
-        self.tape = _TAPE if main else ComputationTape()
+        self.tape = ComputationTape()
         self.grad_enabled = True
         self.in_worker = False
 

@@ -9,6 +9,7 @@ dropout are keyed by the config seed, so reruns are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,13 +45,21 @@ class TrainConfig:
     target_T: int = 200
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.patience < 1 or self.top_k_average < 1 or self.max_epochs < 1:
-            raise ConfigError("patience, top_k_average and max_epochs must be >= 1")
-        if self.class_weights is not None:
-            if len(self.class_weights) != 2 or min(self.class_weights) <= 0:
-                raise ConfigError("class_weights must be two positive floats")
+        # chained comparisons with inf: NaN fails them, and a huge int does not overflow
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("batch_size", "target_T", "patience", "top_k_average", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.class_weights is not None and not (
+                len(self.class_weights) == 2
+                and all(0 < w < math.inf for w in self.class_weights)):
+            raise ConfigError(
+                f"class_weights must be two finite positive floats, got {self.class_weights}")
 
 
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
@@ -148,9 +157,7 @@ def train_epoch(model: Model, train_utts, config: TrainConfig, epoch,
     ):
         tt.reset_tape()
         model.zero_grads()
-        drop = None
-        if model.config.dropout > 0:
-            drop = DropoutCtx(model.config.dropout, config.seed, epoch, bi)
+        drop = DropoutCtx(model.config.dropout, config.seed, epoch, bi)
         logits = batch_logits(model, batch.features, drop=drop)
         labels = [LABEL_INDEX[u.label] for u in batch.utterances]
         loss = weighted_cross_entropy(logits, labels, class_weights)
@@ -242,6 +249,8 @@ def load_checkpoint(path) -> Checkpoint:
         echo = json.loads(r.text(json_len, "config echo"))
     except json.JSONDecodeError as exc:
         raise r.fail(f"config echo at offset {r.at} is not JSON: {exc}") from exc
+    if not isinstance(echo, dict):
+        raise r.fail(f"config echo at offset {r.at} is not a JSON object")
     (val_loss,) = r.unpack("<d", "val_loss")
     (epoch,) = r.unpack("<I", "epoch")
     r.end()

@@ -89,6 +89,29 @@ def test_a_value_of_the_wrong_type_names_its_key(tiny_config, capsys, override):
         apply_override({}, override)
 
 
+@pytest.mark.parametrize("command, override", [
+    ("params", "model.conv_kernel=-1"), ("train", "model.dim=0"),
+    ("train", "model.ffn_expansion=0"), ("train", "train.seed=-1"),
+    ("gen-data", "corpus.seed=-2"), ("train", "train.weight_decay=-0.5"),
+    ("eval", "tdcf.c0=NaN"), ("train", "train.lr=NaN"),
+    ("train", "train.class_weights=[1, Infinity]"), ("gen-data", "corpus.pattern_seed=-1"),
+])
+def test_an_out_of_range_value_names_its_field(trained, tmp_path, capsys, command,
+                                               override):
+    config, data_dir, run_dir = trained
+    args = {"params": [], "gen-data": [], "train": ["--data-dir", str(data_dir)],
+            "eval": ["--data-dir", str(data_dir), "--checkpoint",
+                     str(run_dir / "final.ckpt")]}[command]
+    if command != "params":
+        args += ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *args, "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert override.split("=")[0].split(".")[-1] in err
+    assert "Traceback" not in err
+
+
 def test_config_value_types():
     ok = {"train": {"lr": 1, "class_weights": [1, 2.5]},
           "model": {"dropout": 0, "toggles": {"use_tcm": False}},

@@ -198,7 +198,7 @@ def test_enrich_cls_pass_through_when_off():
     m = Model(cfg, seed=12)
     temporal = np.random.default_rng(12).standard_normal((6, 8))
     head = np.random.default_rng(13).standard_normal((2, 8))
-    out = m.enrich_cls(Tensor(temporal), Tensor(head), T=5)
+    out = m.enrich_cls(Tensor(temporal), Tensor(head))
     assert np.array_equal(out.data, temporal)
 
 
@@ -208,7 +208,7 @@ def test_enrich_cls_constant_rows():
     t_rows = np.full((6, 8), -0.5)
     cls = np.arange(8.0)
     temporal = np.concatenate([cls[None, :], t_rows], axis=0)
-    out = m.enrich_cls(Tensor(temporal), Tensor(h), T=6)
+    out = m.enrich_cls(Tensor(temporal), Tensor(h))
     assert np.all(np.abs(out.data[0] - (cls + 1.5 - 0.5)) < 1e-12)
     assert np.array_equal(out.data[1:], t_rows)
 
@@ -218,7 +218,7 @@ def test_enrich_cls_random_vs_hand_means():
     rng = np.random.default_rng(15)
     temporal = rng.standard_normal((6, 8))  # T=5
     head = rng.standard_normal((3, 8))
-    out = m.enrich_cls(Tensor(temporal), Tensor(head), T=5)
+    out = m.enrich_cls(Tensor(temporal), Tensor(head))
     expect = temporal[0] + head.mean(axis=0) + temporal[1:].mean(axis=0)
     assert np.max(np.abs(out.data[0] - expect)) < 1e-12
 
@@ -269,7 +269,7 @@ def test_conformer_block_shape_and_finiteness_with_zero_weights():
     m = Model(small_config(), seed=19)
     zero_params(m)
     x = np.random.default_rng(19).standard_normal((6, 8))
-    out = m.conformer_block_forward(TokenSequence(Tensor(x), T=5), 0)
+    out = m.block_forward(TokenSequence(Tensor(x), T=5), 0)
     assert out.tokens.shape == (6, 8)
     assert np.all(np.isfinite(out.tokens.data))
 
@@ -277,7 +277,7 @@ def test_conformer_block_shape_and_finiteness_with_zero_weights():
 def test_conformer_block_matches_oracle():
     m = Model(small_config(), seed=20)
     x = np.random.default_rng(20).standard_normal((6, 8))  # T=5
-    out = m.conformer_block_forward(TokenSequence(Tensor(x), T=5), 0)
+    out = m.block_forward(TokenSequence(Tensor(x), T=5), 0)
     expect = oc.conformer_block_np(x, oc.numpy_params(m), "block0.", 2,
                                    m.config.toggles)
     assert np.max(np.abs(out.tokens.data - expect)) < 1e-9
@@ -287,7 +287,7 @@ def test_conformer_block_matches_oracle():
 def test_transformer_block_shape(T):
     m = Model(small_config(block_kind="transformer"), seed=21)
     x = np.random.default_rng(T).standard_normal((T + 1, 8))
-    out = m.transformer_block_forward(TokenSequence(Tensor(x), T=T), 0)
+    out = m.block_forward(TokenSequence(Tensor(x), T=T), 0)
     assert out.tokens.shape == (T + 1, 8)
 
 
@@ -295,7 +295,7 @@ def test_transformer_block_plain_matches_prenorm_oracle():
     cfg = small_config(block_kind="transformer", toggles=TcmToggles(use_tcm=False))
     m = Model(cfg, seed=22)
     x = np.random.default_rng(22).standard_normal((5, 8))
-    out = m.transformer_block_forward(TokenSequence(Tensor(x), T=4), 0)
+    out = m.block_forward(TokenSequence(Tensor(x), T=4), 0)
     expect = oc.transformer_block_np(x, oc.numpy_params(m), "block0.", 2,
                                      cfg.toggles)
     assert np.max(np.abs(out.tokens.data - expect)) < 1e-10
@@ -308,7 +308,7 @@ def test_transformer_block_zero_ffn_keeps_attention_output():
         m.p(f"block0.ffn.{n}.weight").data[:] = 0.0
     x = np.random.default_rng(23).standard_normal((5, 8))
     seq = TokenSequence(Tensor(x), T=4)
-    out = m.transformer_block_forward(seq, 0).tokens.data
+    out = m.block_forward(seq, 0).tokens.data
     h = tt.layer_norm(Tensor(x), m.p("block0.ln_attn.gamma"),
                       m.p("block0.ln_attn.beta"))
     attn_resid = x + m.tcm_forward(TokenSequence(h, 4), "block0.").tokens.data

@@ -237,6 +237,15 @@ def test_step_gradient_is_the_in_order_sum_of_the_micro_batch_gradients(
     assert np.count_nonzero(got) > got.size // 2
     assert np.array_equal(got, want)
     assert not m.micro_grad.any()
+    # and the step equals one whole-batch step on this thread: the same
+    # logits bit for bit, the gradient up to the order of its sums
+    m.zero_grads()
+    whole = m.forward_batch(feats, drop=DropoutCtx(0.2, 5, 1, 2))
+    tt.backward(tt.sum_all(tt.mul(whole, Tensor(w))))
+    tt.reset_tape()
+    assert np.array_equal(whole.data, logits.data)
+    gap = np.abs(m.grad - got).max() / np.abs(got).max()
+    assert gap <= 1e-12, gap
 
 
 def _send_logits(m, feats, conn):
