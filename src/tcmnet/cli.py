@@ -65,15 +65,17 @@ def cmd_train(args):
     cfg = _load_config(args)
     train_utts = _load_corpus_split(args.data_dir, "train")
     dev_utts = _load_corpus_split(args.data_dir, "dev")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every config check runs before the run directory exists
+    model_config = cfg.model_config(train_utts[0].F)
     # resolve class weights up front so the echo and checkpoints carry them
     if not cfg.train_config().class_weights:
         cfg.doc.setdefault("train", {})["class_weights"] = (
             TR.inverse_frequency_weights(train_utts)
         )
+    tconf = cfg.train_config()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
-    model_config = cfg.model_config(train_utts[0].F)
 
     log_path = out_dir / "train_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log:
@@ -86,7 +88,6 @@ def cmd_train(args):
                 f"val {rec['val_loss']:.4f}"
             )
 
-        tconf = cfg.train_config()
         model = Model(model_config, seed=tconf.seed)
         result = TR.train(model, train_utts, dev_utts, tconf,
                           config_echo=cfg.resolved(), log_fn=log_fn)

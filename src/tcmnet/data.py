@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
+from . import tensor
 from .tensor import ConfigError
 
 
@@ -126,11 +126,30 @@ def _split_labels(n, spoof_fraction, rng):
     return labels
 
 
-def _base_features(T, F, spec, rng):
-    e = rng.standard_normal((T, F))
+def _draw(spec, si, i, pool):
+    """Utterance i of split si: its scaled channel-mixed noise (T x F), drawn
+    before the AR(1) filter, and its artifact placement."""
+    rng = np.random.default_rng([spec.seed, si, i])
+    T = int(rng.integers(spec.t_min, spec.t_max + 1))
+    e = rng.standard_normal((T, spec.feature_dim))
     # light channel mixing so channels are correlated
     mixed = 0.5 * e + 0.25 * np.roll(e, 1, axis=1) + 0.25 * np.roll(e, -1, axis=1)
-    return lfilter([1.0], [1.0, -spec.ar_coeff], spec.noise_scale * mixed, axis=0)
+    band_start = int(pool[rng.integers(len(pool))])
+    seg_start = int(rng.integers(T - spec.seg_len + 1))
+    return spec.noise_scale * mixed, {"band_start": band_start, "seg_start": seg_start}
+
+
+def ar1(xs, a):
+    """Each T_i x F array of xs filtered along time, y_t = x_t + a y_{t-1},
+    as one time-major (max T_i) x len(xs) x F buffer. Bit for bit
+    scipy.signal.lfilter([1], [1, -a], x, axis=0), whose loop computes
+    1 x_t + (0 x_t - (-a) y_{t-1}) and so rounds as x_t + a y_{t-1}."""
+    buf = np.zeros((max(len(x) for x in xs), len(xs), xs[0].shape[1]))
+    for j, x in enumerate(xs):
+        buf[: len(x), j] = x
+    for t in range(1, len(buf)):
+        buf[t] += a * buf[t - 1]
+    return [buf[: len(x), j].copy() for j, x in enumerate(xs)]
 
 
 def generate_corpus(spec: CorpusSpec):
@@ -138,11 +157,13 @@ def generate_corpus(spec: CorpusSpec):
 
     Per-utterance RNG streams are label-independent, so a spoof utterance
     and the amplitude-0 regeneration of the same id differ exactly on the
-    planted band x segment.
+    planted band x segment. Utterances are filtered in chunks of about
+    `tensor._AR1_CHUNK_BYTES`; the chunking does not change a bit.
     """
     pattern = artifact_pattern(spec)
     traindev_pool, eval_pool = _band_pools(spec)
     counts = {"train": spec.n_train, "dev": spec.n_dev, "eval": spec.n_eval}
+    chunk = max(1, tensor._AR1_CHUNK_BYTES // (8 * spec.t_max * spec.feature_dim))
     corpus = {}
     for si, split in enumerate(SPLITS):
         n = counts[split]
@@ -150,28 +171,17 @@ def generate_corpus(spec: CorpusSpec):
         labels = _split_labels(n, spec.spoof_fraction, label_rng)
         pool = eval_pool if split == "eval" else traindev_pool
         utts = []
-        for i in range(n):
-            rng = np.random.default_rng([spec.seed, si, i])
-            T = int(rng.integers(spec.t_min, spec.t_max + 1))
-            x = _base_features(T, spec.feature_dim, spec, rng)
-            band_start = int(pool[rng.integers(len(pool))])
-            seg_start = int(rng.integers(T - spec.seg_len + 1))
-            label = LABELS[labels[i]]
-            if label == "spoof":
-                x[
-                    seg_start : seg_start + spec.seg_len,
-                    band_start : band_start + spec.band_width,
-                ] += spec.amplitude * pattern[
-                    :, band_start : band_start + spec.band_width
-                ]
-            utts.append(
-                Utterance(
-                    id=f"{split}_{i:05d}",
-                    features=x,
-                    label=label,
-                    meta={"band_start": band_start, "seg_start": seg_start},
-                )
-            )
+        for lo in range(0, n, chunk):
+            drawn = [_draw(spec, si, i, pool) for i in range(lo, min(lo + chunk, n))]
+            filtered = ar1([noise for noise, _ in drawn], spec.ar_coeff)
+            for i, x, (_, meta) in zip(range(lo, n), filtered, drawn):
+                label = LABELS[labels[i]]
+                if label == "spoof":
+                    band = slice(meta["band_start"], meta["band_start"] + spec.band_width)
+                    seg = slice(meta["seg_start"], meta["seg_start"] + spec.seg_len)
+                    x[seg, band] += spec.amplitude * pattern[:, band]
+                utts.append(Utterance(id=f"{split}_{i:05d}", features=x, label=label,
+                                      meta=meta))
         corpus[split] = utts
     return corpus
 

@@ -4,8 +4,11 @@ Everything is float64. Forward ops are plain numpy; each op that sees a
 grad-requiring input appends a backward closure to the active tape.
 ``backward`` replays the tape in exact reverse order of recording.
 
-Gradients accumulate: repeated backward calls without ``zero_grad`` /
-``reset_tape`` add up. Training code resets the tape once per step.
+Leaf gradients accumulate: repeated backward calls without ``zero_grad``
+add up. An intermediate gradient is taken off its node just before that
+node's backward runs, so it lives only until its consumers have used it; a
+second ``backward`` on the same tape recomputes them. Training code resets
+the tape once per step.
 
 The tape and the grad flag are per thread. One pool of worker threads,
 one per CPU usable at import or fork, runs all parallel work through
@@ -220,8 +223,9 @@ def _accum_unbroadcast(t, g, fresh=False):
 
 def _replay(tape):
     for node, fn in reversed(tape.ops):
-        if node.grad is not None:
-            fn(node.grad)
+        g, node.grad = node.grad, None
+        if g is not None:
+            fn(g)
 
 
 def backward(out):
@@ -552,6 +556,9 @@ def expand(a, shape):
 # S x S scores take up to about this many bytes, so each block stays in a
 # core's L2 cache from the score matmul to the weights times V.
 _ATTN_BLOCK_BYTES = 1 << 20
+# The synthetic corpus runs its AR(1) filter over (T, utterances, F)
+# time-major chunks of about this many bytes (`data.generate_corpus`).
+_AR1_CHUNK_BYTES = 4 << 20
 # A (leading index, head) pair whose scaled logits are at most this in
 # magnitude takes exp without the softmax max shift: e^300 times any row
 # length stays far below overflow, and e^-300 far above the smallest

@@ -6,6 +6,7 @@ up as a mismatch.
 """
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.special import erf
 
 
@@ -198,3 +199,37 @@ def read_scores_lines(text):
         except ValueError:
             return lineno
     return pairs
+
+
+def generate_corpus_np(spec):
+    """{split: [(id, label, features, meta)]}: the synthetic corpus drawn one
+    utterance at a time, each filtered by scipy.signal.lfilter."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([spec.pattern_seed])))
+    signs = np.where(rng.random(spec.feature_dim) < 0.5, -1.0, 1.0)
+    starts = list(range(spec.feature_dim - spec.band_width + 1))
+    pools = (starts, starts) if len(starts) == 1 else (starts[0::2], starts[1::2])
+    corpus = {}
+    for si, (split, n) in enumerate(
+            [("train", spec.n_train), ("dev", spec.n_dev), ("eval", spec.n_eval)]):
+        n_spoof = int(round(n * spec.spoof_fraction))
+        labels = np.array([1] * n_spoof + [0] * (n - n_spoof))
+        np.random.default_rng([spec.seed, si, 0xFACE]).shuffle(labels)
+        pool = pools[1] if split == "eval" else pools[0]
+        utts = []
+        for i in range(n):
+            rng = np.random.default_rng([spec.seed, si, i])
+            T = int(rng.integers(spec.t_min, spec.t_max + 1))
+            e = rng.standard_normal((T, spec.feature_dim))
+            mixed = 0.5 * e + 0.25 * np.roll(e, 1, axis=1) + 0.25 * np.roll(e, -1, axis=1)
+            x = lfilter([1.0], [1.0, -spec.ar_coeff], spec.noise_scale * mixed, axis=0)
+            band_start = int(pool[rng.integers(len(pool))])
+            seg_start = int(rng.integers(T - spec.seg_len + 1))
+            label = ("bonafide", "spoof")[labels[i]]
+            if label == "spoof":
+                x[seg_start : seg_start + spec.seg_len,
+                  band_start : band_start + spec.band_width] += spec.amplitude * signs[
+                      band_start : band_start + spec.band_width]
+            utts.append((f"{split}_{i:05d}", label, x,
+                         {"band_start": band_start, "seg_start": seg_start}))
+        corpus[split] = utts
+    return corpus

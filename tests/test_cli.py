@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import tcmnet
 from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
 from tcmnet.data import SPLITS, read_features, read_split, write_features
@@ -42,6 +46,17 @@ def _dir_bytes(root):
         for p in sorted(Path(root).rglob("*"))
         if p.is_file()
     }
+
+
+def test_importing_the_cli_does_not_load_scipy_signal():
+    # a fresh interpreter: scipy.signal alone would add about 50 MB of
+    # resident memory and half a second to every process start
+    code = "import sys, tcmnet.cli, tcmnet.experiments; print('scipy.signal' in sys.modules)"
+    src = str(Path(tcmnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -331,6 +346,22 @@ def test_train_rejects_an_empty_split(tiny_config, tmp_path, capsys, split):
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: split directory {data_dir / split} has no utterances" in err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("override", ["model.dim=0", "train.lr=NaN"])
+def test_train_rejects_a_bad_config_before_making_its_run_directory(
+        tiny_config, tmp_path, capsys, override):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir",
+                 str(data_dir)]) == 0
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    code = main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                 "--out-dir", str(run_dir), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and override.split("=")[0].split(".")[-1] in err
     assert not run_dir.exists()
 
 

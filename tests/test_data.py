@@ -2,15 +2,21 @@ import struct
 from dataclasses import replace
 
 import numpy as np
+import oracles as oc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
+from tcmnet import data
+from tcmnet import tensor as tt
 from tcmnet.data import (
+    SPLITS,
     Batch,
     CorpusSpec,
     FormatError,
     Utterance,
+    ar1,
     artifact_pattern,
     batch_iter,
     fix_length,
@@ -118,6 +124,39 @@ def test_matched_filter_oracle_separates_large_amplitude():
         (spoof if u.label == "spoof" else bona).append(score)
     eer, _ = compute_eer(spoof, bona)  # spoof scores higher here
     assert eer == 0.0
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("T", [1, 2, 250])
+def test_ar1_is_lfilter_bit_for_bit(T, a):
+    x = np.random.default_rng(T).standard_normal((T, 7)) * 3.0
+    (y,) = ar1([x], a)
+    assert y.flags.c_contiguous
+    assert y.tobytes() == lfilter([1.0], [1.0, -a], x, axis=0).tobytes()
+
+
+def test_ar1_filters_utterances_of_several_lengths_in_one_buffer():
+    rng = np.random.default_rng(3)
+    xs = [rng.standard_normal((T, 5)) for T in (4, 1, 9, 9, 2)]
+    for x, y in zip(xs, ar1(xs, 0.9)):
+        assert y.tobytes() == lfilter([1.0], [1.0, -0.9], x, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 3])
+@pytest.mark.parametrize("amplitude", [0.0, 0.7])
+def test_generate_corpus_matches_the_per_utterance_oracle(monkeypatch, amplitude,
+                                                          per_chunk):
+    spec = tiny_spec(n_train=7, n_dev=3, n_eval=5, amplitude=amplitude)
+    if per_chunk is not None:  # every split spans several chunks
+        monkeypatch.setattr(tt, "_AR1_CHUNK_BYTES",
+                            per_chunk * 8 * spec.t_max * spec.feature_dim + 8)
+    chunks = []
+    monkeypatch.setattr(data, "ar1", lambda xs, a: chunks.append(len(xs)) or ar1(xs, a))
+    got, want = generate_corpus(spec), oc.generate_corpus_np(spec)
+    assert chunks == {None: [7, 3, 5], 1: [1] * 15, 3: [3, 3, 1, 3, 3, 2]}[per_chunk]
+    for split in SPLITS:
+        assert [(u.id, u.label, u.features.tobytes(), u.meta) for u in got[split]] \
+            == [(i, label, x.tobytes(), meta) for i, label, x, meta in want[split]]
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,36 @@ def test_step_gradient_is_the_in_order_sum_of_the_micro_batch_gradients(
     assert gap <= 1e-12, gap
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_backward_leaves_no_gradient_on_any_tape_node(n, monkeypatch):
+    # an intermediate gradient is freed once its node's backward has run;
+    # only the parameters keep theirs (their sum over micro-batches is
+    # checked above)
+    _use_cpus(monkeypatch, n)
+    m = Model(_config("conformer", TcmToggles()), seed=8)
+    rng = np.random.default_rng(8)
+    feats, w = rng.standard_normal((7, 9, 6)), Tensor(rng.standard_normal((7, 2)))
+    tapes = []
+    forward_batch = Model.forward_batch
+
+    def recording(self, *args, **kwargs):
+        tapes.append(tt.active_tape())
+        return forward_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_batch", recording)
+    m.zero_grads()
+    tt.backward(tt.sum_all(tt.mul(batch_logits(m, feats, drop=DropoutCtx(0.2, 8)), w)))
+    assert len(tapes) == 2 and tt.active_tape() not in tapes
+    assert np.count_nonzero(m.grad) > m.grad.size // 2
+    for tape in tapes + [tt.active_tape()]:
+        assert len(tape) and all(node.grad is None for node, _ in tape.ops)
+    tt.reset_tape()
+    # and on one whole-batch forward_batch tape
+    tt.backward(tt.sum_all(tt.mul(forward_batch(m, feats, drop=DropoutCtx(0.2, 8)), w)))
+    assert len(tt.active_tape())
+    assert all(node.grad is None for node, _ in tt.active_tape().ops)
+
+
 def _send_logits(m, feats, conn):
     conn.send_bytes(batch_logits(m, feats).data.tobytes())
     conn.close()
