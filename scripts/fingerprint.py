@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 over everything a small training grid produces: every
 epoch's train and validation loss, every epoch checkpoint's bytes, the
-averaged final checkpoint's bytes, and the final model's fixed- and
-variable-mode eval scores, for the three desk variants x both block kinds.
+averaged final checkpoint's bytes, and the fixed- and variable-mode eval
+scores of the model loaded from that final file, for the three desk
+variants x both block kinds.
 
 A change meant to be bit-identical must print the same digest before and
 after. Run the copy of this script in each checkout; it imports tcmnet from
@@ -24,7 +25,8 @@ from tcmnet.data import CorpusSpec, generate_corpus
 from tcmnet.experiments import DESK_VARIANTS, VARIANTS
 from tcmnet.metrics import score_split
 from tcmnet.model import Model, ModelConfig
-from tcmnet.train import TrainConfig, load_into_model, save_checkpoint, train
+from tcmnet.train import (TrainConfig, load_checkpoint, load_into_model,
+                          save_checkpoint, train)
 
 CORPUS = CorpusSpec(n_train=32, n_dev=12, n_eval=12, feature_dim=16, t_min=20,
                     t_max=30, band_width=4, seg_len=10, amplitude=0.7, seed=5)
@@ -53,7 +55,7 @@ def fingerprint(lr=TRAIN.lr):
                 for ckpt in [*result.checkpoints, result.final]:
                     save_checkpoint(ckpt, ckpt_path)
                     digest.update(ckpt_path.read_bytes())
-                load_into_model(model, result.final)
+                load_into_model(model, load_checkpoint(ckpt_path))  # the final file
                 for mode in ("fixed", "variable"):
                     for rec in score_split(model, corpus["eval"], mode, tconf.target_T):
                         digest.update(rec.id.encode() + struct.pack("<d", rec.score))

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor
 from .tensor import ConfigError
 
 
@@ -139,6 +138,11 @@ def _draw(spec, si, i, pool):
     return spec.noise_scale * mixed, {"band_start": band_start, "seg_start": seg_start}
 
 
+# generate_corpus runs its AR(1) filter over (T, utterances, F) time-major
+# chunks of about this many bytes
+_AR1_CHUNK_BYTES = 4 << 20
+
+
 def ar1(xs, a):
     """Each T_i x F array of xs filtered along time, y_t = x_t + a y_{t-1},
     as one time-major (max T_i) x len(xs) x F buffer. Bit for bit
@@ -158,12 +162,12 @@ def generate_corpus(spec: CorpusSpec):
     Per-utterance RNG streams are label-independent, so a spoof utterance
     and the amplitude-0 regeneration of the same id differ exactly on the
     planted band x segment. Utterances are filtered in chunks of about
-    `tensor._AR1_CHUNK_BYTES`; the chunking does not change a bit.
+    `_AR1_CHUNK_BYTES`; the chunking does not change a bit.
     """
     pattern = artifact_pattern(spec)
     traindev_pool, eval_pool = _band_pools(spec)
     counts = {"train": spec.n_train, "dev": spec.n_dev, "eval": spec.n_eval}
-    chunk = max(1, tensor._AR1_CHUNK_BYTES // (8 * spec.t_max * spec.feature_dim))
+    chunk = max(1, _AR1_CHUNK_BYTES // (8 * spec.t_max * spec.feature_dim))
     corpus = {}
     for si, split in enumerate(SPLITS):
         n = counts[split]

@@ -16,6 +16,7 @@ ends it in a dropout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,14 +70,6 @@ class ModelConfig:
     @property
     def head_dim(self):
         return self.dim // self.heads
-
-
-@dataclass
-class TokenSequence:
-    """(..., T+1, D) activations with the classification token at row 0."""
-
-    tokens: Tensor
-    T: int
 
 
 def sinusoidal_encoding(T, D):
@@ -150,11 +143,19 @@ def _dropout(x, ctx):
     return tt.mul_const(x, ctx.mask(x.shape))
 
 
+def unflatten(flat, inventory):
+    """Views of the vector `flat`, cut in order into the shapes of the
+    (name, shape) entries of `inventory`."""
+    cuts = np.cumsum([math.prod(shape) for _, shape in inventory])[:-1]
+    return [part.reshape(shape) for part, (_, shape) in zip(np.split(flat, cuts), inventory)]
+
+
 class Model:
     """Parameter container plus forward pass. Parameters live in an ordered
-    name -> Tensor dict so checkpoints have a complete unique inventory. Their
-    values and gradients are views, in that order, into the vectors `flat` and
-    `grad`: write parameters in place (`data[...] = x`), never rebind `.data`.
+    name -> Tensor dict; `inventory` holds each one's (name, shape) in that
+    order. Their values and gradients are views, in that order, into the
+    vectors `flat` and `grad` (`unflatten`): write parameters in place
+    (`data[...] = x`), never rebind `.data`.
 
     `micro[i]` is the model that micro-batch i of a training step runs
     (train.batch_logits): its own parameter Tensors, whose values are the
@@ -174,10 +175,10 @@ class Model:
         """Take `params` and `grad` as this model's, each parameter's value a
         view into `flat` and its gradient a view into `grad`."""
         self.params, self.grad = params, grad
-        cuts = np.cumsum([t.size for t in params.values()])[:-1]
-        for t, data, g in zip(params.values(), np.split(self.flat, cuts),
-                              np.split(grad, cuts)):
-            t.data, t.grad = data.reshape(t.shape), g.reshape(t.shape)
+        self.inventory = tuple((name, t.shape) for name, t in params.items())
+        for t, data, g in zip(params.values(), unflatten(self.flat, self.inventory),
+                              unflatten(grad, self.inventory)):
+            t.data, t.grad = data, g
 
     def _replica(self, grad):
         """A model on the same values whose gradients land in `grad`."""
@@ -286,8 +287,10 @@ class Model:
         return out
 
     def prepend_cls(self, x):
+        """(..., T, D) -> (..., T+1, D) tokens with the classification token
+        at row 0."""
         cls_rows = tt.expand(self.p("cls"), x.shape[:-2] + (1, self.config.dim))
-        return TokenSequence(tt.concat([cls_rows, x], axis=-2), T=x.shape[-2])
+        return tt.concat([cls_rows, x], axis=-2)
 
     def _mhsa(self, x, prefix, trace=None, rows=None):
         """Standard multi-head attention over an S x D sequence; with `rows`,
@@ -300,11 +303,11 @@ class Model:
         cat = tt.mhsa_core(q, k, v, c.heads, trace=trace)
         return tt.affine(cat, self.p(prefix + "attn.wo.weight"), self.p(prefix + "attn.wo.bias"))
 
-    def generate_head_tokens(self, seq: TokenSequence, prefix):
+    def generate_head_tokens(self, tokens, prefix):
         """Pool each channel segment over the CLS and T rows, project d->D,
         GeLU, embed."""
         c = self.config
-        pooled = tt.mean_over_time(seq.tokens)  # (..., D)
+        pooled = tt.mean_over_time(tokens)  # (..., D)
         segments = tt.reshape(pooled, pooled.shape[:-1] + (c.heads, c.head_dim))
         ht = tt.gelu(
             tt.affine(
@@ -317,16 +320,15 @@ class Model:
             ht = tt.add(ht, self.p(prefix + "tcm.head_token_embedding"))
         return ht
 
-    def tcm_attention(self, seq: TokenSequence, head_tokens, prefix, trace=None,
-                      rows=None):
+    def tcm_attention(self, tokens, head_tokens, prefix, trace=None, rows=None):
         """Attend over T+H+1 tokens (head tokens appended) and split back.
         `rows` (at most T+1) computes only the leading temporal query rows,
         and no head token outputs."""
         c = self.config
-        n_temporal = seq.T + 1
+        n_temporal = tokens.shape[-2]
         if not c.toggles.ht_in_mhsa:
-            return self._mhsa(seq.tokens, prefix, trace=trace, rows=rows), head_tokens
-        joint = tt.concat([seq.tokens, head_tokens], axis=-2)
+            return self._mhsa(tokens, prefix, trace=trace, rows=rows), head_tokens
+        joint = tt.concat([tokens, head_tokens], axis=-2)
         out = self._mhsa(joint, prefix, trace=trace, rows=rows)
         if rows is not None:
             return out, None
@@ -353,16 +355,15 @@ class Model:
                 cls_row, tt.reshape(mean_tt, mean_tt.shape[:-1] + (1, c.dim)))
         return tt.concat([cls_row, rest], axis=-2)
 
-    def tcm_forward(self, seq: TokenSequence, prefix, trace=None, rows=None):
+    def tcm_forward(self, tokens, prefix, trace=None, rows=None):
         """Attention sub-module: plain MHSA or the temporal-channel variant.
         `rows` computes only the leading query rows; the CLS enrichments
         read every row, so they must be off."""
         if not self.config.toggles.use_tcm:
-            return TokenSequence(self._mhsa(seq.tokens, prefix, trace=trace, rows=rows),
-                                 seq.T)
-        ht = self.generate_head_tokens(seq, prefix)
-        temporal, head_out = self.tcm_attention(seq, ht, prefix, trace=trace, rows=rows)
-        return TokenSequence(self.enrich_cls(temporal, head_out), seq.T)
+            return self._mhsa(tokens, prefix, trace=trace, rows=rows)
+        ht = self.generate_head_tokens(tokens, prefix)
+        temporal, head_out = self.tcm_attention(tokens, ht, prefix, trace=trace, rows=rows)
+        return self.enrich_cls(temporal, head_out)
 
     def _ffn(self, x, prefix, drop):
         conformer = self.config.block_kind == "conformer"
@@ -400,34 +401,30 @@ class Model:
         enriched = tg.use_tcm and (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls)
         query_rows = None if enriched or trace is not None else rows
         h = tt.layer_norm(x, self.p(prefix + "ln_attn.gamma"), self.p(prefix + "ln_attn.beta"))
-        attn = self.tcm_forward(TokenSequence(h, x.shape[-2] - 1), prefix, trace=trace,
-                                rows=query_rows).tokens
+        attn = self.tcm_forward(h, prefix, trace=trace, rows=query_rows)
         if rows is not None:
             x = tt.slice_axis(x, -2, 0, rows)
             if query_rows is None:
                 attn = tt.slice_axis(attn, -2, 0, rows)
         return tt.add(x, _dropout(attn, drop))
 
-    def block_forward(self, seq: TokenSequence, b, drop=None, trace=None,
-                      cls_only=False):
-        """One block; `cls_only` computes only the CLS row after attention: a
-        Transformer's FFN runs on that row alone, a Conformer's conv output
-        row 0 reads input rows 0..K//2."""
+    def block_forward(self, tokens, b, drop=None, trace=None, cls_only=False):
+        """One block over (..., T+1, D) tokens; `cls_only` computes only the
+        CLS row after attention, and returns (..., 1, D): a Transformer's FFN
+        runs on that row alone, a Conformer's conv output row 0 reads input
+        rows 0..K//2."""
         p = f"block{b}."
-        T = 0 if cls_only else seq.T
         if self.config.block_kind == "transformer":
-            x = self._attention_residual(seq.tokens, p, drop, trace,
-                                         1 if cls_only else None)
-            return TokenSequence(self._ffn(x, p + "ffn.", drop), T)
-        x = self._ffn(seq.tokens, p + "ffn1.", drop)
-        rows = min(self.config.conv_kernel // 2 + 1, seq.T + 1) if cls_only else None
+            x = self._attention_residual(tokens, p, drop, trace, 1 if cls_only else None)
+            return self._ffn(x, p + "ffn.", drop)
+        x = self._ffn(tokens, p + "ffn1.", drop)
+        rows = min(self.config.conv_kernel // 2 + 1, tokens.shape[-2]) if cls_only else None
         x = self._attention_residual(x, p, drop, trace, rows)
         x = self._conv_module(x, p)
         if cls_only:
             x = tt.slice_axis(x, -2, 0, 1)
         x = self._ffn(x, p + "ffn2.", drop)
-        x = tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
-        return TokenSequence(x, T)
+        return tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
 
     def forward_batch(self, features, drop=None, trace=None):
         """(B, T, F) stacked same-length features -> (B, 2) logits."""
@@ -437,11 +434,11 @@ class Model:
         x = self.project_features(feats)
         if drop is not None:  # the pruned last block's masks keep the full rows
             drop.tokens = feats.shape[1] + 1
-        seq = self.prepend_cls(x)
+        x = self.prepend_cls(x)
         last = self.config.blocks - 1
         for b in range(self.config.blocks):  # the head reads only the CLS row
-            seq = self.block_forward(seq, b, drop=drop, trace=trace, cls_only=b == last)
-        out = tt.affine(seq.tokens, self.p("head.weight"), self.p("head.bias"))
+            x = self.block_forward(x, b, drop=drop, trace=trace, cls_only=b == last)
+        out = tt.affine(x, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
 
     def forward(self, features, trace=None):

@@ -556,9 +556,6 @@ def expand(a, shape):
 # S x S scores take up to about this many bytes, so each block stays in a
 # core's L2 cache from the score matmul to the weights times V.
 _ATTN_BLOCK_BYTES = 1 << 20
-# The synthetic corpus runs its AR(1) filter over (T, utterances, F)
-# time-major chunks of about this many bytes (`data.generate_corpus`).
-_AR1_CHUNK_BYTES = 4 << 20
 # A (leading index, head) pair whose scaled logits are at most this in
 # magnitude takes exp without the softmax max shift: e^300 times any row
 # length stays far below overflow, and e^-300 far above the smallest

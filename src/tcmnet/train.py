@@ -8,6 +8,7 @@ dropout are keyed by the config seed, so reruns are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import tensor as tt
 from .data import LABELS, FieldReader, batch_iter
 from .metrics import score_split
-from .model import DropoutCtx, Model
+from .model import DropoutCtx, Model, unflatten
 from .tensor import ConfigError, Tensor
 
 
@@ -204,7 +205,8 @@ _VERSION = 1
 
 @dataclass
 class Checkpoint:
-    params: dict  # name -> np.ndarray float64
+    inventory: tuple  # (name, shape) of each parameter, in Model.flat order
+    flat: np.ndarray  # float64 values, cut by the inventory (model.unflatten)
     config_echo: dict
     epoch: int
     val_loss: float
@@ -214,14 +216,13 @@ def save_checkpoint(ckpt: Checkpoint, path):
     path = Path(path)
     blob = bytearray()
     blob += _MAGIC
-    blob += struct.pack("<II", _VERSION, len(ckpt.params))
-    for name, arr in ckpt.params.items():
+    blob += struct.pack("<II", _VERSION, len(ckpt.inventory))
+    values = unflatten(np.asarray(ckpt.flat, dtype="<f8"), ckpt.inventory)
+    for (name, shape), arr in zip(ckpt.inventory, values):
         enc = name.encode("utf-8")
         blob += struct.pack("<H", len(enc)) + enc
-        blob += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        blob += struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        blob += arr.tobytes()
     echo = json.dumps(ckpt.config_echo, sort_keys=True).encode("utf-8")
     blob += struct.pack("<I", len(echo)) + echo
     blob += struct.pack("<d", ckpt.val_loss)
@@ -235,15 +236,15 @@ def load_checkpoint(path) -> Checkpoint:
     r = FieldReader(path, "checkpoint", CheckpointError)
     r.header(_MAGIC, _VERSION)
     (count,) = r.unpack("<I", "tensor count")
-    params = {}
+    shapes, values = {}, []  # name -> shape, in file order; raw values
     for i in range(count):
         (name_len,) = r.unpack("<H", f"name length of tensor {i}")
         name = r.text(name_len, f"name of tensor {i}")
-        if name in params:
+        if name in shapes:
             raise r.fail(f"tensor {i} repeats the name {name!r} at offset {r.at}")
         (rank,) = r.unpack("<B", f"rank of {name!r}")
-        dims = r.unpack(f"<{rank}I", f"shape of {name!r}")
-        params[name] = r.array("<f8", dims, f"values of {name!r}")
+        shapes[name] = r.unpack(f"<{rank}I", f"shape of {name!r}")
+        values.append(r.raw(8 * math.prod(shapes[name]), f"values of {name!r}"))
     (json_len,) = r.unpack("<I", "config echo length")
     try:
         echo = json.loads(r.text(json_len, "config echo"))
@@ -254,29 +255,28 @@ def load_checkpoint(path) -> Checkpoint:
     (val_loss,) = r.unpack("<d", "val_loss")
     (epoch,) = r.unpack("<I", "epoch")
     r.end()
-    return Checkpoint(params=params, config_echo=echo, epoch=epoch, val_loss=val_loss)
+    flat = np.frombuffer(b"".join(values), "<f8").astype(np.float64)
+    return Checkpoint(tuple(shapes.items()), flat, echo, epoch, val_loss)
+
+
+def _check_inventory(want, got, want_name, got_name):
+    """Raise a CheckpointError naming the first (name, shape) entry at which
+    inventory `got` differs from `want`."""
+    if tuple(want) != tuple(got):
+        i, a, b = next((i, a, b) for i, (a, b) in
+                       enumerate(itertools.zip_longest(want, got)) if a != b)
+        raise CheckpointError(
+            f"parameter inventory mismatch at entry {i}: {want_name} has "
+            f"{a or 'no entry'}, {got_name} has {b or 'no entry'}")
 
 
 def checkpoint_from_model(model: Model, config_echo, epoch, val_loss):
-    return Checkpoint(
-        params={k: t.data.copy() for k, t in model.params.items()},
-        config_echo=config_echo,
-        epoch=epoch,
-        val_loss=val_loss,
-    )
+    return Checkpoint(model.inventory, model.flat.copy(), config_echo, epoch, val_loss)
 
 
 def load_into_model(model: Model, ckpt: Checkpoint):
-    if set(ckpt.params) != set(model.params):
-        missing = set(model.params) ^ set(ckpt.params)
-        raise CheckpointError(f"parameter inventory mismatch: {sorted(missing)}")
-    for name, arr in ckpt.params.items():
-        if model.params[name].data.shape != arr.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: model {model.params[name].data.shape} "
-                f"vs checkpoint {arr.shape}"
-            )
-        model.params[name].data[...] = arr
+    _check_inventory(model.inventory, ckpt.inventory, "model", "checkpoint")
+    model.flat[...] = ckpt.flat
 
 
 def _loss_rank(ck):
@@ -290,22 +290,13 @@ def average_checkpoints(checkpoints, k) -> Checkpoint:
     epoch first; NaN losses rank last). Fewer than k available: average all."""
     if not checkpoints:
         raise CheckpointError("no checkpoints to average")
-    inventory = {n: a.shape for n, a in checkpoints[0].params.items()}
     for ck in checkpoints[1:]:
-        if {n: a.shape for n, a in ck.params.items()} != inventory:
-            raise CheckpointError("checkpoints have incompatible parameter inventories")
+        _check_inventory(checkpoints[0].inventory, ck.inventory,
+                         f"epoch {checkpoints[0].epoch}", f"epoch {ck.epoch}")
     chosen = sorted(checkpoints, key=_loss_rank)[:k]
-    params = {
-        name: np.mean([c.params[name] for c in chosen], axis=0)
-        for name in inventory
-    }
     best = chosen[0]
-    return Checkpoint(
-        params=params,
-        config_echo=best.config_echo,
-        epoch=best.epoch,
-        val_loss=best.val_loss,
-    )
+    return Checkpoint(best.inventory, np.mean([c.flat for c in chosen], axis=0),
+                      best.config_echo, best.epoch, best.val_loss)
 
 
 @dataclass

@@ -1,6 +1,23 @@
-"""Shared test utilities: central finite differences for gradient checks."""
+"""Shared test utilities: central finite differences for gradient checks,
+and checkpoints built from and read as name -> array dicts."""
 
 import numpy as np
+
+from tcmnet.model import unflatten
+from tcmnet.train import Checkpoint
+
+
+def checkpoint_of(arrays, config_echo, epoch, val_loss):
+    """A Checkpoint of the name -> array dict `arrays`, in its order."""
+    inventory = tuple((name, np.shape(a)) for name, a in arrays.items())
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(np.float64)
+    return Checkpoint(inventory, flat, config_echo, epoch, val_loss)
+
+
+def checkpoint_arrays(ckpt):
+    """name -> array view into the checkpoint's `flat`, in inventory order."""
+    return dict(zip([name for name, _ in ckpt.inventory],
+                    unflatten(ckpt.flat, ckpt.inventory)))
 
 
 def finite_diff(f, arrays, h=1e-5):

@@ -20,14 +20,14 @@ from tcmnet.experiments import DeskConfig, median, run_desk_experiment
 from tcmnet.metrics import (ScoreRecord, TdcfCosts, compute_eer,
                             compute_min_tdcf, read_scores, sweep_thresholds,
                             write_scores)
-from tcmnet.model import (Model, ModelConfig, TcmToggles, TokenSequence,
-                          tcm_param_delta, with_toggles)
+from tcmnet.model import (Model, ModelConfig, TcmToggles, tcm_param_delta,
+                          with_toggles)
 from tcmnet.tensor import Tensor
-from tcmnet.train import (Checkpoint, TrainConfig, average_checkpoints,
-                          early_stop, load_checkpoint, save_checkpoint,
-                          train, weighted_cross_entropy)
+from tcmnet.train import (TrainConfig, average_checkpoints, early_stop,
+                          load_checkpoint, save_checkpoint, train,
+                          weighted_cross_entropy)
 
-from helpers import finite_diff
+from helpers import checkpoint_arrays, checkpoint_of, finite_diff
 
 
 # --- criterion 1: autodiff vs central finite differences ------------------
@@ -74,8 +74,8 @@ def test_criterion_2_shape_contract(T):
     m = Model(cfg, seed=102)
     x = np.random.default_rng(102 + T).standard_normal((T + 1, cfg.dim))
     trace = []
-    out = m.tcm_forward(TokenSequence(Tensor(x), T=T), "block0.", trace=trace)
-    assert out.tokens.shape == (T + 1, cfg.dim)
+    out = m.tcm_forward(Tensor(x), "block0.", trace=trace)
+    assert out.shape == (T + 1, cfg.dim)
     assert trace and all(t["attn_len"] == T + cfg.heads + 1 for t in trace)
     for t in trace:
         assert np.all(np.abs(t["weights"].sum(axis=1) - 1.0) <= 1e-9)
@@ -98,7 +98,7 @@ def test_criterion_3_reduction_to_plain_mhsa():
         )
         m = Model(cfg, seed=int(rng.integers(1 << 31)))
         x = rng.standard_normal((T + 1, dim))
-        out = m.tcm_forward(TokenSequence(Tensor(x), T=T), "block0.").tokens.data
+        out = m.tcm_forward(Tensor(x), "block0.").data
         plain = m._mhsa(Tensor(x), "block0.").data
         assert np.max(np.abs(out - plain)) <= 1e-12
 
@@ -213,13 +213,13 @@ def test_criterion_8_protocol_fidelity(tmp_path):
     rng = np.random.default_rng(108)
     ckpts = [
         # integer-valued params make the 5-way sum exact in any order
-        Checkpoint(params={"w": rng.integers(-9, 10, 3).astype(float)},
-                   config_echo={}, epoch=i + 1, val_loss=loss)
+        checkpoint_of({"w": rng.integers(-9, 10, 3).astype(float)},
+                      config_echo={}, epoch=i + 1, val_loss=loss)
         for i, loss in enumerate([0.30, 0.10, 0.50, 0.20, 0.15, 0.25])
     ]
     avg = average_checkpoints(ckpts, 5)
-    keep = [c.params["w"] for c in ckpts if c.val_loss != 0.50]
-    assert np.array_equal(avg.params["w"], sum(keep) / 5.0)
+    keep = [checkpoint_arrays(c)["w"] for c in ckpts if c.val_loss != 0.50]
+    assert np.array_equal(checkpoint_arrays(avg)["w"], sum(keep) / 5.0)
 
     # training twice from the same seed is bit-identical
     spec = CorpusSpec(n_train=12, n_dev=6, n_eval=2, feature_dim=5,
@@ -233,9 +233,8 @@ def test_criterion_8_protocol_fidelity(tmp_path):
         res = train(model, corpus["train"], corpus["dev"], tc)
         outs.append(res)
     assert outs[0].history == outs[1].history
-    for k in outs[0].final.params:
-        assert outs[0].final.params[k].tobytes() == \
-            outs[1].final.params[k].tobytes()
+    assert outs[0].final.inventory == outs[1].final.inventory
+    assert outs[0].final.flat.tobytes() == outs[1].final.flat.tobytes()
 
 
 # --- criterion 9: binary and text format round-trips ----------------------
@@ -273,15 +272,15 @@ def test_criterion_9_format_round_trips(tmp_path):
     assert (tmp_path / "scores.txt").read_text() == \
         "rt_0001 -1.250000\nrt_0002 0.500000\n"
 
-    ckpt = Checkpoint(
-        params={"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)},
+    ckpt = checkpoint_of(
+        {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)},
         config_echo={"train": {"seed": 5}}, epoch=3, val_loss=0.125)
     save_checkpoint(ckpt, tmp_path / "m.ckpt")
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     assert loaded.epoch == 3 and loaded.val_loss == 0.125
     assert loaded.config_echo == ckpt.config_echo
-    for k in ckpt.params:
-        assert loaded.params[k].tobytes() == ckpt.params[k].tobytes()
+    assert loaded.inventory == ckpt.inventory
+    assert loaded.flat.tobytes() == ckpt.flat.tobytes()
     save_checkpoint(loaded, tmp_path / "m2.ckpt")
     assert (tmp_path / "m.ckpt").read_bytes() == \
         (tmp_path / "m2.ckpt").read_bytes()

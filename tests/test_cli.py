@@ -216,8 +216,8 @@ def test_train_reproducible(trained, tmp_path):
                  "--out-dir", str(run2)]) == 0
     a = load_checkpoint(run_dir / "final.ckpt")
     b = load_checkpoint(run2 / "final.ckpt")
-    for name in a.params:
-        assert a.params[name].tobytes() == b.params[name].tobytes()
+    assert a.inventory == b.inventory
+    assert a.flat.tobytes() == b.flat.tobytes()
 
 
 def test_eval_command(trained, tmp_path, capsys):

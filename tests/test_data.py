@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from tcmnet import data
-from tcmnet import tensor as tt
 from tcmnet.data import (
     SPLITS,
     Batch,
@@ -148,7 +147,7 @@ def test_generate_corpus_matches_the_per_utterance_oracle(monkeypatch, amplitude
                                                           per_chunk):
     spec = tiny_spec(n_train=7, n_dev=3, n_eval=5, amplitude=amplitude)
     if per_chunk is not None:  # every split spans several chunks
-        monkeypatch.setattr(tt, "_AR1_CHUNK_BYTES",
+        monkeypatch.setattr(data, "_AR1_CHUNK_BYTES",
                             per_chunk * 8 * spec.t_max * spec.feature_dim + 8)
     chunks = []
     monkeypatch.setattr(data, "ar1", lambda xs, a: chunks.append(len(xs)) or ar1(xs, a))

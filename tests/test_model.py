@@ -12,7 +12,6 @@ from tcmnet.model import (
     Model,
     ModelConfig,
     TcmToggles,
-    TokenSequence,
     param_count,
     tcm_param_delta,
     with_toggles,
@@ -99,12 +98,12 @@ def test_prepend_cls():
     m = Model(small_config(), seed=0)
     x = np.random.default_rng(3).standard_normal((3, 8))
     seq = m.prepend_cls(Tensor(x))
-    assert seq.T == 3
-    assert seq.tokens.shape == (4, 8)
-    assert np.array_equal(seq.tokens.data[0], m.p("cls").data)
-    assert np.array_equal(seq.tokens.data[1:], x)
+    assert seq.shape[-2] - 1 == 3
+    assert seq.shape == (4, 8)
+    assert np.array_equal(seq.data[0], m.p("cls").data)
+    assert np.array_equal(seq.data[1:], x)
     empty = m.prepend_cls(Tensor(np.zeros((0, 8))))
-    assert empty.T == 0 and empty.tokens.shape == (1, 8)
+    assert empty.shape[-2] - 1 == 0 and empty.shape == (1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_head_tokens_hand_case():
     cfg = small_config(feature_dim=4, dim=4, heads=2)
     m = Model(cfg, seed=7)
     token = np.array([1.0, 2.0, 3.0, 4.0])
-    seq = TokenSequence(Tensor(np.stack([token, token])), T=1)
+    seq = Tensor(np.stack([token, token]))
     w = m.p("block0.tcm.head_proj.weight").data
     b = m.p("block0.tcm.head_proj.bias").data
     emb = m.p("block0.tcm.head_token_embedding").data
@@ -156,7 +155,7 @@ def test_uniform_attention_outputs_row_mean():
         m.p(f"block0.attn.{n}.weight").data[...] = np.eye(8)
     x = np.random.default_rng(8).standard_normal((5, 8))
     ht = np.random.default_rng(9).standard_normal((2, 8))
-    seq = TokenSequence(Tensor(x), T=4)
+    seq = Tensor(x)
     temporal, head_out = m.tcm_attention(seq, Tensor(ht), "block0.")
     mean = np.concatenate([x, ht], axis=0).mean(axis=0)
     joint = np.concatenate([temporal.data, head_out.data], axis=0)
@@ -166,7 +165,7 @@ def test_uniform_attention_outputs_row_mean():
 def test_attention_rows_stochastic_and_length():
     cfg = small_config(heads=1, dim=8)
     m = Model(cfg, seed=10)
-    seq = TokenSequence(Tensor(np.random.default_rng(10).standard_normal((1, 8))), T=0)
+    seq = Tensor(np.random.default_rng(10).standard_normal((1, 8)))
     ht = m.generate_head_tokens(seq, "block0.")
     trace = []
     m.tcm_attention(seq, ht, "block0.", trace=trace)
@@ -178,7 +177,7 @@ def test_attention_rows_stochastic_and_length():
 def test_tcm_attention_matches_oracle():
     m = Model(small_config(), seed=11)
     x = np.random.default_rng(11).standard_normal((5, 8))  # T=4 plus CLS
-    seq = TokenSequence(Tensor(x), T=4)
+    seq = Tensor(x)
     ht = m.generate_head_tokens(seq, "block0.")
     temporal, head_out = m.tcm_attention(seq, ht, "block0.")
     p = oc.numpy_params(m)
@@ -231,9 +230,9 @@ def test_enrich_cls_random_vs_hand_means():
 def test_tcm_forward_shape_contract(T):
     m = Model(small_config(), seed=16)
     x = np.random.default_rng(T).standard_normal((T + 1, 8))
-    out = m.tcm_forward(TokenSequence(Tensor(x), T=T), "block0.")
-    assert out.tokens.shape == (T + 1, 8)
-    assert np.all(np.isfinite(out.tokens.data))
+    out = m.tcm_forward(Tensor(x), "block0.")
+    assert out.shape == (T + 1, 8)
+    assert np.all(np.isfinite(out.data))
 
 
 def test_use_tcm_false_is_plain_mhsa():
@@ -244,7 +243,7 @@ def test_use_tcm_false_is_plain_mhsa():
     for name in plain_model.params:
         plain_model.params[name].data[...] = tcm_model.params[name].data
     x = np.random.default_rng(17).standard_normal((6, 8))
-    a = plain_model.tcm_forward(TokenSequence(Tensor(x), T=5), "block0.").tokens.data
+    a = plain_model.tcm_forward(Tensor(x), "block0.").data
     b = tcm_model._mhsa(Tensor(x), "block0.").data
     assert a.tobytes() == b.tobytes()
 
@@ -256,7 +255,7 @@ def test_all_toggles_off_equals_plain_mhsa():
     )
     m = Model(cfg, seed=18)
     x = np.random.default_rng(18).standard_normal((6, 8))
-    out = m.tcm_forward(TokenSequence(Tensor(x), T=5), "block0.").tokens.data
+    out = m.tcm_forward(Tensor(x), "block0.").data
     plain = m._mhsa(Tensor(x), "block0.").data
     assert np.max(np.abs(out - plain)) < 1e-12
 
@@ -269,36 +268,36 @@ def test_conformer_block_shape_and_finiteness_with_zero_weights():
     m = Model(small_config(), seed=19)
     zero_params(m)
     x = np.random.default_rng(19).standard_normal((6, 8))
-    out = m.block_forward(TokenSequence(Tensor(x), T=5), 0)
-    assert out.tokens.shape == (6, 8)
-    assert np.all(np.isfinite(out.tokens.data))
+    out = m.block_forward(Tensor(x), 0)
+    assert out.shape == (6, 8)
+    assert np.all(np.isfinite(out.data))
 
 
 def test_conformer_block_matches_oracle():
     m = Model(small_config(), seed=20)
     x = np.random.default_rng(20).standard_normal((6, 8))  # T=5
-    out = m.block_forward(TokenSequence(Tensor(x), T=5), 0)
+    out = m.block_forward(Tensor(x), 0)
     expect = oc.conformer_block_np(x, oc.numpy_params(m), "block0.", 2,
                                    m.config.toggles)
-    assert np.max(np.abs(out.tokens.data - expect)) < 1e-9
+    assert np.max(np.abs(out.data - expect)) < 1e-9
 
 
 @pytest.mark.parametrize("T", [1, 9])
 def test_transformer_block_shape(T):
     m = Model(small_config(block_kind="transformer"), seed=21)
     x = np.random.default_rng(T).standard_normal((T + 1, 8))
-    out = m.block_forward(TokenSequence(Tensor(x), T=T), 0)
-    assert out.tokens.shape == (T + 1, 8)
+    out = m.block_forward(Tensor(x), 0)
+    assert out.shape == (T + 1, 8)
 
 
 def test_transformer_block_plain_matches_prenorm_oracle():
     cfg = small_config(block_kind="transformer", toggles=TcmToggles(use_tcm=False))
     m = Model(cfg, seed=22)
     x = np.random.default_rng(22).standard_normal((5, 8))
-    out = m.block_forward(TokenSequence(Tensor(x), T=4), 0)
+    out = m.block_forward(Tensor(x), 0)
     expect = oc.transformer_block_np(x, oc.numpy_params(m), "block0.", 2,
                                      cfg.toggles)
-    assert np.max(np.abs(out.tokens.data - expect)) < 1e-10
+    assert np.max(np.abs(out.data - expect)) < 1e-10
 
 
 def test_transformer_block_zero_ffn_keeps_attention_output():
@@ -307,11 +306,10 @@ def test_transformer_block_zero_ffn_keeps_attention_output():
     for n in ("lin1", "lin2"):
         m.p(f"block0.ffn.{n}.weight").data[:] = 0.0
     x = np.random.default_rng(23).standard_normal((5, 8))
-    seq = TokenSequence(Tensor(x), T=4)
-    out = m.block_forward(seq, 0).tokens.data
+    out = m.block_forward(Tensor(x), 0).data
     h = tt.layer_norm(Tensor(x), m.p("block0.ln_attn.gamma"),
                       m.p("block0.ln_attn.beta"))
-    attn_resid = x + m.tcm_forward(TokenSequence(h, 4), "block0.").tokens.data
+    attn_resid = x + m.tcm_forward(h, "block0.").data
     assert np.max(np.abs(out - attn_resid)) < 1e-12
 
 
@@ -563,7 +561,7 @@ def test_pruned_forward_draws_the_full_row_dropout_masks(kind):
     seq = m.prepend_cls(m.project_features(feats))
     for b in range(2):
         seq = m.block_forward(seq, b, drop=drop)  # every row
-    want = seq.tokens.data[:, 0] @ m.p("head.weight").data + m.p("head.bias").data
+    want = seq.data[:, 0] @ m.p("head.weight").data + m.p("head.bias").data
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -1,4 +1,5 @@
 import platform
+import re
 import resource
 import struct
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import checkpoint_arrays, checkpoint_of
 from oracles import adam_per_parameter, numpy_params
 from tcmnet import tensor as tt
 from tcmnet.data import (
@@ -180,6 +182,7 @@ def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
 
 
 def _assert_views(model):
+    assert model.inventory == tuple((n, t.shape) for n, t in model.params.items())
     for name, t in model.params.items():
         assert np.shares_memory(t.data, model.flat), name
         assert np.shares_memory(t.grad, model.grad), name
@@ -209,8 +212,9 @@ def test_parameters_stay_views_of_the_flat_store():
     _assert_views(model)
     load_into_model(model, result.checkpoints[0])
     _assert_views(model)
+    saved = checkpoint_arrays(result.checkpoints[0])
     for name, t in model.params.items():
-        assert np.array_equal(t.data, result.checkpoints[0].params[name]), name
+        assert np.array_equal(t.data, saved[name]), name
 
 
 def test_zero_grad_on_a_parameter_keeps_it_a_view_of_the_flat_gradient():
@@ -323,8 +327,8 @@ def test_training_bit_reproducible():
         results.append(res)
     a, b = results
     assert a.history == b.history
-    for name in a.final.params:
-        assert a.final.params[name].tobytes() == b.final.params[name].tobytes()
+    assert a.final.inventory == b.final.inventory
+    assert a.final.flat.tobytes() == b.final.flat.tobytes()
 
 
 def test_single_step_descends_on_most_seeds():
@@ -451,9 +455,8 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.epoch == 3 and loaded.val_loss == 0.25
     assert loaded.config_echo == {"train": {"seed": 9}}
-    assert set(loaded.params) == set(ck.params)
-    for k in ck.params:
-        assert loaded.params[k].tobytes() == ck.params[k].tobytes()
+    assert loaded.inventory == ck.inventory
+    assert loaded.flat.tobytes() == ck.flat.tobytes()
 
 
 def test_checkpoint_load_into_mismatched_model(tmp_path):
@@ -484,7 +487,7 @@ def test_checkpoint_hand_built_single_parameter(tmp_path):
     path = tmp_path / "hand.ckpt"
     path.write_bytes(blob)
     ck = load_checkpoint(path)
-    assert ck.params["w"].tolist() == [1.5, -2.0]
+    assert checkpoint_arrays(ck)["w"].tolist() == [1.5, -2.0]
     assert ck.val_loss == 0.125 and ck.epoch == 4 and ck.config_echo == {}
 
 
@@ -504,8 +507,8 @@ def test_checkpoint_repeated_tensor_name_names_its_offset(tmp_path):
 
 
 def test_checkpoint_truncated_at_every_byte_names_field_and_offset(tmp_path):
-    ck = Checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
-                    {"train": {"seed": 9}}, epoch=2, val_loss=0.25)
+    ck = checkpoint_of({"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
+                       {"train": {"seed": 9}}, epoch=2, val_loss=0.25)
     path = tmp_path / "m.ckpt"
     save_checkpoint(ck, path)
     blob = path.read_bytes()
@@ -520,8 +523,8 @@ def test_checkpoint_truncated_at_every_byte_names_field_and_offset(tmp_path):
 def test_every_overwritten_byte_loads_or_names_the_file(tmp_path):
     feats, ckpt = tmp_path / "u.tcmf", tmp_path / "m.ckpt"
     write_features(Utterance("u1", np.ones((2, 3)), "spoof"), feats)
-    save_checkpoint(Checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(1)},
-                               {"a": [1]}, epoch=2, val_loss=0.25), ckpt)
+    save_checkpoint(checkpoint_of({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(1)},
+                                  {"a": [1]}, epoch=2, val_loss=0.25), ckpt)
     for path, load, error in ((feats, read_features, FormatError),
                               (ckpt, load_checkpoint, CheckpointError)):
         blob = path.read_bytes()
@@ -536,7 +539,7 @@ def test_every_overwritten_byte_loads_or_names_the_file(tmp_path):
 
 
 def test_checkpoint_corrupt_name_and_echo_name_offset(tmp_path):
-    ck = Checkpoint({"w": np.ones(2)}, {"a": 1}, epoch=1, val_loss=0.5)
+    ck = checkpoint_of({"w": np.ones(2)}, {"a": 1}, epoch=1, val_loss=0.5)
     path = tmp_path / "m.ckpt"
     save_checkpoint(ck, path)
     blob = path.read_bytes()
@@ -547,7 +550,8 @@ def test_checkpoint_corrupt_name_and_echo_name_offset(tmp_path):
     path.write_bytes(blob[:echo_at] + b"[" + blob[echo_at + 1:])
     with pytest.raises(CheckpointError, match=f"config echo at offset {echo_at}"):
         load_checkpoint(path)
-    save_checkpoint(Checkpoint(ck.params, ["not", "an", "object"], 1, 0.5), path)
+    save_checkpoint(Checkpoint(ck.inventory, ck.flat, ["not", "an", "object"], 1, 0.5),
+                    path)
     echo_at = path.read_bytes().index(b'["not"')
     with pytest.raises(CheckpointError,
                        match=f"config echo at offset {echo_at} is not a JSON object"):
@@ -555,31 +559,31 @@ def test_checkpoint_corrupt_name_and_echo_name_offset(tmp_path):
 
 
 def _ck(val_loss, epoch, value):
-    return Checkpoint({"w": np.full(3, float(value))}, {}, epoch, val_loss)
+    return checkpoint_of({"w": np.full(3, float(value))}, {}, epoch, val_loss)
 
 
 def test_average_checkpoints_identical_inputs():
     cks = [_ck(0.5, i, 2.0) for i in range(1, 4)]
     out = average_checkpoints(cks, 3)
-    assert np.array_equal(out.params["w"], np.full(3, 2.0))
+    assert np.array_equal(checkpoint_arrays(out)["w"], np.full(3, 2.0))
 
 
 def test_average_checkpoints_mean():
     out = average_checkpoints([_ck(0.5, 1, 0.0), _ck(0.4, 2, 2.0)], 5)
-    assert np.array_equal(out.params["w"], np.full(3, 1.0))
+    assert np.array_equal(checkpoint_arrays(out)["w"], np.full(3, 1.0))
 
 
 def test_average_checkpoints_excludes_worst_of_six():
     cks = [_ck(0.1 * i, i, float(i)) for i in range(1, 7)]
     out = average_checkpoints(cks, 5)
-    assert np.allclose(out.params["w"], np.mean([1, 2, 3, 4, 5]))
+    assert np.allclose(checkpoint_arrays(out)["w"], np.mean([1, 2, 3, 4, 5]))
 
 
 def test_average_checkpoints_permutation_invariant():
     cks = [_ck(0.3, 1, 1.0), _ck(0.1, 2, 5.0), _ck(0.2, 3, -2.0)]
     a = average_checkpoints(cks, 2)
     b = average_checkpoints(list(reversed(cks)), 2)
-    assert np.array_equal(a.params["w"], b.params["w"])
+    assert np.array_equal(checkpoint_arrays(a)["w"], checkpoint_arrays(b)["w"])
 
 
 def test_average_checkpoints_nan_loss_ranks_last():
@@ -587,14 +591,92 @@ def test_average_checkpoints_nan_loss_ranks_last():
     cks = [_ck(0.5, 1, 1.0), _ck(nan, 2, 100.0), _ck(0.2, 3, 2.0),
            _ck(0.3, 4, 4.0)]
     out = average_checkpoints(cks, 2)
-    assert np.array_equal(out.params["w"], np.full(3, 3.0))
+    assert np.array_equal(checkpoint_arrays(out)["w"], np.full(3, 3.0))
     assert (out.epoch, out.val_loss) == (3, 0.2)
     both_nan = [_ck(nan, 2, 1.0), _ck(nan, 1, 3.0), _ck(0.9, 3, 5.0)]
-    assert average_checkpoints(both_nan, 2).params["w"][0] == 4.0
-    assert average_checkpoints(list(reversed(both_nan)), 2).params["w"][0] == 4.0
+    for order in (both_nan, list(reversed(both_nan))):
+        assert checkpoint_arrays(average_checkpoints(order, 2))["w"][0] == 4.0
 
 
 def test_average_checkpoints_shape_mismatch():
-    bad = Checkpoint({"w": np.zeros(4)}, {}, 1, 0.5)
+    bad = checkpoint_of({"w": np.zeros(4)}, {}, 1, 0.5)
     with pytest.raises(CheckpointError):
         average_checkpoints([_ck(0.5, 1, 1.0), bad], 2)
+
+
+def test_average_of_trained_checkpoints_is_the_per_name_mean():
+    corpus = tiny_corpus()
+    result = train(tiny_model(dropout=0.1), corpus["train"], corpus["dev"],
+                   tiny_train_config(max_epochs=4, patience=4))
+    assert len(result.checkpoints) == 4
+    ranked = sorted(result.checkpoints, key=lambda c: (c.val_loss, c.epoch))
+    for k in (2, 3):
+        got = checkpoint_arrays(average_checkpoints(result.checkpoints, k))
+        for name, _ in result.final.inventory:
+            want = np.mean([checkpoint_arrays(c)[name] for c in ranked[:k]], axis=0)
+            assert got[name].tobytes() == want.tobytes(), (k, name)
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "shape", "order"])
+def test_inventory_mismatch_names_the_first_differing_entry(case):
+    model = tiny_model()
+    inv = model.inventory
+    arrays = checkpoint_arrays(checkpoint_from_model(model, {}, 1, 0.5))
+    names = list(arrays)
+    i = [n for n, shape in inv].index("block0.ffn1.lin1.bias")
+    if case == "missing":
+        del arrays[names[i]]
+        at, want, got = i, inv[i], inv[i + 1]
+    elif case == "extra":
+        arrays["extra.w"] = np.zeros((2, 1))
+        at, want, got = len(inv), "no entry", ("extra.w", (2, 1))
+    elif case == "shape":
+        arrays[names[i]] = np.zeros(inv[i][1][0] + 1)
+        at, want, got = i, inv[i], (names[i], (inv[i][1][0] + 1,))
+    else:
+        names[i], names[i + 1] = names[i + 1], names[i]
+        arrays = {n: arrays[n] for n in names}
+        at, want, got = i, inv[i], inv[i + 1]
+    bad = checkpoint_of(arrays, {}, 2, 0.5)
+    before = model.flat.copy()
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"mismatch at entry {at}: model has {want}, checkpoint has {got}")):
+        load_into_model(model, bad)
+    assert model.flat.tobytes() == before.tobytes()
+    good = checkpoint_from_model(model, {}, 1, 0.5)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"mismatch at entry {at}: epoch 1 has {want}, epoch 2 has {got}")):
+        average_checkpoints([good, bad], 2)
+
+
+def test_checkpoint_hand_built_rank_0_and_rank_2_load_into_one_flat(tmp_path):
+    blob = (
+        b"TCMC" + struct.pack("<II", 1, 2)
+        + struct.pack("<H", 1) + b"s" + struct.pack("<B", 0) + struct.pack("<d", 7.25)
+        + struct.pack("<H", 1) + b"m" + struct.pack("<BII", 2, 2, 3)
+        + struct.pack("<6d", 1.0, 2.0, 3.0, 4.0, 5.0, -6.5)
+        + struct.pack("<I", 2) + b"{}" + struct.pack("<dI", 0.5, 9)
+    )
+    path = tmp_path / "hand.ckpt"
+    path.write_bytes(blob)
+    ck = load_checkpoint(path)
+    assert ck.inventory == (("s", ()), ("m", (2, 3)))  # file order, not sorted
+    assert ck.flat.dtype == np.float64 and ck.flat.flags.writeable
+    assert ck.flat.tolist() == [7.25, 1.0, 2.0, 3.0, 4.0, 5.0, -6.5]
+    arrays = checkpoint_arrays(ck)
+    assert arrays["s"].shape == () and arrays["s"] == 7.25
+    assert arrays["m"].tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, -6.5]]
+    save_checkpoint(ck, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+
+def test_checkpoint_with_no_tensors_loads_an_empty_flat(tmp_path):
+    blob = (b"TCMC" + struct.pack("<II", 1, 0) + struct.pack("<I", 2) + b"{}"
+            + struct.pack("<dI", 0.5, 1))
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(blob)
+    ck = load_checkpoint(path)
+    assert ck.inventory == () and ck.flat.shape == (0,)
+    assert (ck.epoch, ck.val_loss) == (1, 0.5)
+    save_checkpoint(ck, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == blob
