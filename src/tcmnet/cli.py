@@ -41,30 +41,16 @@ def cmd_gen_data(args):
     corpus = D.generate_corpus(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     for split, utts in corpus.items():
-        split_dir = out_dir / split
-        # --force: a smaller corpus must not keep files of the previous one
-        for old in [*split_dir.glob("*.tcmf"), split_dir / "protocol.txt"]:
-            old.unlink(missing_ok=True)
-        D.write_split(utts, split_dir)
+        D.write_split(utts, out_dir / split)
         _say(f"wrote {len(utts)} utterances to {out_dir / split}")
     M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
     return 0
 
 
-def _load_corpus_split(data_dir, split):
-    split_dir = Path(data_dir) / split
-    if not split_dir.is_dir():
-        raise ConfigError(f"missing split directory {split_dir}")
-    utts = D.read_split(split_dir)
-    if not utts:
-        raise ConfigError(f"split directory {split_dir} has no utterances")
-    return utts
-
-
 def cmd_train(args):
     cfg = _load_config(args)
-    train_utts = _load_corpus_split(args.data_dir, "train")
-    dev_utts = _load_corpus_split(args.data_dir, "dev")
+    train_utts = D.read_split(Path(args.data_dir) / "train")
+    dev_utts = D.read_split(Path(args.data_dir) / "dev")
     # every config check runs before the run directory exists
     model_config = cfg.model_config(train_utts[0].F)
     # resolve class weights up front so the echo and checkpoints carry them
@@ -107,35 +93,20 @@ def _model_from_checkpoint(ckpt: TR.Checkpoint, feature_dim):
     return model, cfg
 
 
-def _load_split_files(data_dir, split):
-    """All feature files in the split plus the protocol, kept separate so
-    evaluate can flag scored ids missing from the protocol."""
-    split_dir = Path(data_dir) / split
-    if not split_dir.is_dir():
-        raise ConfigError(f"missing split directory {split_dir}")
-    utts = D.read_feature_files(sorted(split_dir.glob("*.tcmf")))
-    if not utts:
-        raise ConfigError(f"no feature files in {split_dir}")
-    return utts, D.read_protocol(split_dir / "protocol.txt")
-
-
 def cmd_eval(args):
     cfg = _load_config(args) if args.config else None
     ckpt = TR.load_checkpoint(args.checkpoint)
-    utts, protocol = _load_split_files(args.data_dir, args.split)
+    utts = D.read_split(Path(args.data_dir) / args.split)
     model, ckpt_cfg = _model_from_checkpoint(ckpt, utts[0].F)
     active = cfg or ckpt_cfg
     costs = active.tdcf_costs()
     tconf = active.train_config()
     mode = args.mode or active.eval_mode()
-    report, records = M.evaluate(
-        model, utts, mode=mode, costs=costs,
-        target_T=tconf.target_T, protocol=protocol,
-    )
+    report, records = M.evaluate(model, utts, mode=mode, costs=costs,
+                                 target_T=tconf.target_T)
     weights = tconf.class_weights or TR.inverse_frequency_weights(utts)
-    labels = dict(protocol)
     report["mean_loss"] = TR.score_loss([r.score for r in records],
-                                        [TR.LABEL_INDEX[labels[r.id]] for r in records], weights)
+                                        [TR.LABEL_INDEX[u.label] for u in utts], weights)
     report["mode"] = mode
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +123,7 @@ def _run_grid(args, variants, **fixed):
     the config's seed; print the rows and write them to --out-dir. `fixed`
     replaces model fields of the config before `base` is validated."""
     cfg = _load_config(args)
-    corpus = {s: _load_corpus_split(args.data_dir, s) for s in D.SPLITS}
+    corpus = {s: D.read_split(Path(args.data_dir) / s) for s in D.SPLITS}
     base = cfg.model_config(corpus["train"][0].F, **fixed)
     tconf = cfg.train_config()
     table = {"rows": E.run_grid(
@@ -237,7 +208,7 @@ def build_parser():
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--split", default="eval", choices=list(D.SPLITS))
-    p.add_argument("--mode", choices=["fixed", "variable"])
+    p.add_argument("--mode", choices=M.EVAL_MODES)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="train/evaluate every toggle variant")

@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .data import CorpusSpec
-from .metrics import TdcfCosts
+from .metrics import EVAL_MODES, TdcfCosts
 from .model import ModelConfig, TcmToggles
 from .tensor import ConfigError
 from .train import TrainConfig
@@ -58,6 +58,7 @@ class RunConfig:
     def __init__(self, doc: dict):
         _validate(doc, _TYPES)
         self.doc = doc
+        self.resolved()  # range-checks every section but the model's
 
     @classmethod
     def load(cls, path, overrides=()):
@@ -89,10 +90,17 @@ class RunConfig:
         # no shipped defaults: coefficients must be stated explicitly
         if "tdcf" not in self.doc:
             return None
+        missing = [f"tdcf.{f.name}" for f in fields(TdcfCosts) if f.name not in self.doc["tdcf"]]
+        if missing:
+            raise ConfigError(f"config section tdcf lacks {' and '.join(missing)}")
         return TdcfCosts(**self.doc["tdcf"])
 
     def eval_mode(self):
-        return self.doc.get("eval", {}).get("mode", "fixed")
+        mode = self.doc.get("eval", {}).get("mode", "fixed")
+        if mode not in EVAL_MODES:
+            raise ConfigError(f"config key eval.mode must be {' or '.join(map(repr, EVAL_MODES))}, "
+                              f"got {mode!r}")
+        return mode
 
     def resolved(self):
         """Fully-expanded document, defaults included."""

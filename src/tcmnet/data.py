@@ -7,7 +7,9 @@ band and one temporal segment. The eval split draws its band positions
 from a pool disjoint from train/dev (toy stand-in for unknown attacks).
 
 Feature files are a small custom binary (magic "TCMF"); protocol files
-are plain "id label" text lines.
+are plain "id label" text lines. A split directory is one protocol plus
+one feature file per line, read and written only by read_split and
+write_split.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .tensor import ConfigError
 
 
 class FormatError(ValueError):
-    """Corrupt or truncated data file; message names the file and offset."""
+    """Corrupt, truncated or inconsistent data file or split directory;
+    message names the file or directory, and the offset where there is one."""
 
 
 LABELS = ("bonafide", "spoof")
@@ -310,36 +313,40 @@ def read_protocol(path):
 
 
 def write_split(utts, out_dir):
+    """Write a split directory whole: feature files of an earlier split go."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for old in out_dir.glob("*.tcmf"):
+        old.unlink()
     for utt in utts:
         write_features(utt, out_dir / f"{utt.id}.tcmf")
     write_protocol([(u.id, u.label) for u in utts], out_dir / "protocol.txt")
 
 
-def read_feature_files(paths):
-    """Utterances in path order; every file must have the first file's F."""
-    utts = []
-    for path in paths:
-        utt = read_features(path)
-        if utts and utt.F != utts[0].F:
-            raise FormatError(
-                f"{path}: feature dim {utt.F} differs from {utts[0].F} "
-                f"in {paths[0]}"
-            )
-        utts.append(utt)
-    return utts
-
-
 def read_split(split_dir):
+    """The utterances of a split directory, `protocol.txt` plus one
+    `<id>.tcmf` per protocol line and nothing else, in protocol order. Each
+    file must carry its line's id and label, and the first file's F."""
     split_dir = Path(split_dir)
+    if not split_dir.is_dir():
+        raise ConfigError(f"missing split directory {split_dir}")
     entries = read_protocol(split_dir / "protocol.txt")
-    utts = read_feature_files([split_dir / f"{ident}.tcmf" for ident, _ in entries])
-    for (ident, label), utt in zip(entries, utts):
+    if not entries:
+        raise FormatError(f"split directory {split_dir} has no utterances")
+    listed = {f"{ident}.tcmf" for ident, _ in entries}
+    for path in sorted(split_dir.glob("*.tcmf")):
+        if path.name not in listed:
+            raise FormatError(f"{path}: feature file missing from protocol")
+    utts, first = [], split_dir / f"{entries[0][0]}.tcmf"
+    for ident, label in entries:
+        path = split_dir / f"{ident}.tcmf"
+        utt = read_features(path)
         if utt.id != ident or utt.label != label:
-            raise FormatError(
-                f"{split_dir}: feature file for {ident} disagrees with protocol"
-            )
+            raise FormatError(f"{split_dir}: feature file for {ident} disagrees with protocol")
+        if utts and utt.F != utts[0].F:
+            raise FormatError(f"{path}: feature dim {utt.F} differs from {utts[0].F} "
+                              f"in {first}")
+        utts.append(utt)
     return utts
 
 

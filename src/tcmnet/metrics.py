@@ -144,6 +144,8 @@ def read_scores(path):
 # ---------------------------------------------------------------------------
 
 
+EVAL_MODES = ("fixed", "variable")
+
 # Utterances per Model.score call. Each chunk runs whole on one worker
 # (tensor.map_workers), so two workers hold at most 16 utterances at a time.
 SCORE_CHUNK = 8
@@ -155,7 +157,7 @@ def score_split(model, utts, mode="fixed", target_T=200):
     fixed mode crops every one to target_T (one group, in input order, of
     one feature dim), variable mode keeps full lengths and groups by T x F
     shape."""
-    if mode not in ("fixed", "variable"):
+    if mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval mode {mode!r}")
     if mode == "fixed":
         check_feature_dims(utts)
@@ -186,12 +188,10 @@ def split_by_label(records, labels_by_id):
     return bona, spoof
 
 
-def evaluate(model, utts, mode="fixed", costs: TdcfCosts | None = None,
-             target_T=200, protocol=None):
+def evaluate(model, utts, mode="fixed", costs: TdcfCosts | None = None, target_T=200):
     """Score a split and compute EER (and min t-DCF when costs are given)."""
     records = score_split(model, utts, mode=mode, target_T=target_T)
-    labels = dict(protocol) if protocol is not None else {u.id: u.label for u in utts}
-    bona, spoof = split_by_label(records, labels)
+    bona, spoof = split_by_label(records, {u.id: u.label for u in utts})
     eer, threshold = compute_eer(bona, spoof)
     report = {
         "eer": eer,

@@ -17,7 +17,7 @@ ends it in a dropout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -441,16 +441,6 @@ class Model:
         out = tt.affine(x, self.p("head.weight"), self.p("head.bias"))
         return tt.reshape(out, (feats.shape[0], 2))
 
-    def forward(self, features, trace=None):
-        """T x F features -> (score, logits), as a batch of one.
-        Score = bonafide - spoof logit."""
-        feats = np.asarray(features)
-        if feats.ndim != 2:
-            raise ConfigError(f"expected T x F features, got {feats.shape}")
-        batch = self.forward_batch(feats[None], trace=trace)
-        logits = tt.reshape(batch, (2,))
-        return float(logits.data[0] - logits.data[1]), logits
-
     def score(self, features):
         """T x F features -> score; B x T x F -> list of B scores. Runs
         without a tape, on the calling thread: no-grad work is spread over
@@ -477,7 +467,3 @@ def param_count(model: Model):
     """(total learnable scalars, those of the TCM as toggled: its `.tcm.`
     parameters)."""
     return model.flat.size, sum(t.size for name, t in model.params.items() if ".tcm." in name)
-
-
-def with_toggles(config: ModelConfig, **kw):
-    return replace(config, toggles=replace(config.toggles, **kw))

@@ -4,10 +4,11 @@ Everything is float64. Forward ops are plain numpy; each op that sees a
 grad-requiring input appends a backward closure to the active tape.
 ``backward`` replays the tape in exact reverse order of recording.
 
-Leaf gradients accumulate: repeated backward calls without ``zero_grad``
-add up. An intermediate gradient is taken off its node just before that
-node's backward runs, so it lives only until its consumers have used it; a
-second ``backward`` on the same tape recomputes them. Training code resets
+Leaf gradients accumulate: repeated backward calls add up until the caller
+zeros ``.grad`` in place (``Model.zero_grads``). An intermediate gradient is
+taken off its node just before that node's backward runs, so it lives only
+until its consumers have used it; a second ``backward`` on the same tape
+recomputes them. Training code resets
 the tape once per step.
 
 The tape and the grad flag are per thread. One pool of worker threads,
@@ -127,12 +128,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad = np.array(np.broadcast_to(g, self.data.shape))
-
-    def zero_grad(self):
-        """Zero .grad in place: a parameter's .grad is a view into a flat
-        gradient vector, and must stay one."""
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def item(self):
         return float(self.data)

@@ -1,10 +1,33 @@
 """Shared test utilities: central finite differences for gradient checks,
-and checkpoints built from and read as name -> array dicts."""
+checkpoints built from and read as name -> array dicts, one utterance's
+score, and code run in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import tcmnet
 from tcmnet.model import unflatten
 from tcmnet.train import Checkpoint
+
+
+def run_in_fresh_interpreter(code):
+    """stdout of `python -c code` in a new interpreter that imports this
+    tcmnet; fails on a non-zero exit."""
+    src = str(Path(tcmnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def forward_score(model, features):
+    """Score of one T x F utterance, run through forward_batch as a batch of
+    one: its bonafide logit minus its spoof logit, as Model.score takes it."""
+    logits = model.forward_batch(features[None]).data[0]
+    return float(logits[0] - logits[1])
 
 
 def checkpoint_of(arrays, config_echo, epoch, val_loss):

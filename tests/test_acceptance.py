@@ -20,8 +20,7 @@ from tcmnet.experiments import DeskConfig, median, run_desk_experiment
 from tcmnet.metrics import (ScoreRecord, TdcfCosts, compute_eer,
                             compute_min_tdcf, read_scores, sweep_thresholds,
                             write_scores)
-from tcmnet.model import (Model, ModelConfig, TcmToggles, tcm_param_delta,
-                          with_toggles)
+from tcmnet.model import Model, ModelConfig, TcmToggles, tcm_param_delta
 from tcmnet.tensor import Tensor
 from tcmnet.train import (TrainConfig, average_checkpoints, early_stop,
                           load_checkpoint, save_checkpoint, train,
@@ -44,14 +43,12 @@ def test_criterion_1_gradient_suite():
 
     def loss_value():
         with tt.no_grad():
-            _, lg = m.forward(feats)
             return float(weighted_cross_entropy(
-                tt.reshape(lg, (1, 2)), [1], weights).data)
+                m.forward_batch(feats[None]), [1], weights).data)
 
     tt.reset_tape()
     m.zero_grads()
-    _, logits = m.forward(feats)
-    tt.backward(weighted_cross_entropy(tt.reshape(logits, (1, 2)), [1], weights))
+    tt.backward(weighted_cross_entropy(m.forward_batch(feats[None]), [1], weights))
     numeric = finite_diff(loss_value, {k: t.data for k, t in m.params.items()},
                           h=1e-5)
     for name, t in m.params.items():
@@ -90,11 +87,11 @@ def test_criterion_3_reduction_to_plain_mhsa():
         heads = int(rng.integers(1, 5))
         dim = heads * int(rng.integers(1, 5))
         T = int(rng.integers(0, 9))
-        cfg = with_toggles(
-            ModelConfig(feature_dim=4, dim=dim, heads=heads, blocks=1,
-                        conv_kernel=3, dropout=0.0, positional_encoding="none"),
-            ht_embedding=False, ht_in_mhsa=False,
-            add_mean_ht_to_cls=False, add_mean_tt_to_cls=False,
+        cfg = ModelConfig(
+            feature_dim=4, dim=dim, heads=heads, blocks=1, conv_kernel=3, dropout=0.0,
+            positional_encoding="none",
+            toggles=TcmToggles(ht_embedding=False, ht_in_mhsa=False,
+                               add_mean_ht_to_cls=False, add_mean_tt_to_cls=False),
         )
         m = Model(cfg, seed=int(rng.integers(1 << 31)))
         x = rng.standard_normal((T + 1, dim))

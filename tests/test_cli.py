@@ -1,13 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import tcmnet
+from helpers import run_in_fresh_interpreter
 from tcmnet.cli import main
 from tcmnet.config import RunConfig, apply_override
 from tcmnet.data import SPLITS, read_features, read_split, write_features
@@ -52,11 +49,7 @@ def test_importing_the_cli_does_not_load_scipy_signal():
     # a fresh interpreter: scipy.signal alone would add about 50 MB of
     # resident memory and half a second to every process start
     code = "import sys, tcmnet.cli, tcmnet.experiments; print('scipy.signal' in sys.modules)"
-    src = str(Path(tcmnet.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "False\n"
+    assert run_in_fresh_interpreter(code) == "False\n"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -110,6 +103,7 @@ def test_a_value_of_the_wrong_type_names_its_key(tiny_config, capsys, override):
     ("gen-data", "corpus.seed=-2"), ("train", "train.weight_decay=-0.5"),
     ("eval", "tdcf.c0=NaN"), ("train", "train.lr=NaN"),
     ("train", "train.class_weights=[1, Infinity]"), ("gen-data", "corpus.pattern_seed=-1"),
+    ("train", "eval.mode=bogus"),
 ])
 def test_an_out_of_range_value_names_its_field(trained, tmp_path, capsys, command,
                                                override):
@@ -292,10 +286,11 @@ def test_eval_rejects_empty_protocol(trained, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
                  "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "e")])
     assert code == 1
-    assert "missing from protocol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: split directory {data_dir / 'eval'} has no utterances\n" in err
 
 
-def test_eval_missing_protocol_entry(trained, tmp_path):
+def test_eval_missing_protocol_entry(trained, tmp_path, capsys):
     _, data_dir, run_dir = trained
     protocol = data_dir / "eval" / "protocol.txt"
     lines = protocol.read_text().splitlines()
@@ -304,6 +299,26 @@ def test_eval_missing_protocol_entry(trained, tmp_path):
     code = main(["eval", "--checkpoint", str(run_dir / "final.ckpt"),
                  "--data-dir", str(data_dir), "--out-dir", str(out)])
     assert code == 1
+    unlisted = data_dir / "eval" / f"{lines[-1].split()[0]}.tcmf"
+    assert f"error: {unlisted}: feature file missing from protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_rejects_a_feature_file_missing_from_the_protocol(tiny_config, tmp_path,
+                                                                 capsys, split):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir",
+                 str(data_dir)]) == 0
+    protocol = data_dir / split / "protocol.txt"
+    lines = protocol.read_text().splitlines()
+    protocol.write_text("\n".join(lines[1:]) + "\n")
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                 "--out-dir", str(run_dir)])
+    assert code == 1
+    unlisted = data_dir / split / f"{lines[0].split()[0]}.tcmf"
+    assert f"error: {unlisted}: feature file missing from protocol" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
@@ -349,7 +364,8 @@ def test_train_rejects_an_empty_split(tiny_config, tmp_path, capsys, split):
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("override", ["model.dim=0", "train.lr=NaN"])
+@pytest.mark.parametrize("override", ["model.dim=0", "train.lr=NaN", "tdcf.c1=-1",
+                                      "corpus.seed=-1", "eval.mode=bogus"])
 def test_train_rejects_a_bad_config_before_making_its_run_directory(
         tiny_config, tmp_path, capsys, override):
     data_dir = tmp_path / "data"
@@ -363,6 +379,27 @@ def test_train_rejects_a_bad_config_before_making_its_run_directory(
     err = capsys.readouterr().err
     assert err.startswith("error:") and override.split("=")[0].split(".")[-1] in err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ablate"])
+def test_a_partial_tdcf_section_names_its_missing_keys(trained, tmp_path, capsys, command):
+    config, data_dir, run_dir = trained
+    doc = json.loads(config.read_text())
+    del doc["tdcf"]
+    no_tdcf = tmp_path / "no_tdcf.json"
+    no_tdcf.write_text(json.dumps(doc))
+    args = {"gen-data": [], "train": ["--data-dir", str(data_dir)],
+            "ablate": ["--data-dir", str(data_dir)],
+            "eval": ["--data-dir", str(data_dir), "--checkpoint",
+                     str(run_dir / "final.ckpt")]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(no_tdcf), *args, "--out-dir",
+                 str(tmp_path / "out"), "--set", "tdcf.c1=1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "tdcf.c0" in err and "tdcf.c2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_reports_non_finite_loss(tiny_config, tmp_path, capsys):

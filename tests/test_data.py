@@ -272,6 +272,19 @@ def test_split_directory_roundtrip(tmp_path):
         assert np.allclose(u.features, v.features, atol=1e-6)
 
 
+def test_write_split_replaces_a_larger_split_whole(tmp_path):
+    big = generate_corpus(tiny_spec(n_train=8, n_dev=1, n_eval=1))["train"]
+    small = generate_corpus(tiny_spec(n_train=5, n_dev=1, n_eval=1, seed=8))["train"]
+    write_split(big, tmp_path / "train")
+    write_split(small, tmp_path / "train")
+    assert sorted(p.name for p in (tmp_path / "train").iterdir()) == sorted(
+        ["protocol.txt"] + [f"{u.id}.tcmf" for u in small])
+    loaded = read_split(tmp_path / "train")
+    assert [(u.id, u.label) for u in loaded] == [(u.id, u.label) for u in small]
+    for u, v in zip(small, loaded):
+        assert np.array_equal(u.features.astype(np.float32), v.features)
+
+
 def test_read_split_rejects_mixed_feature_dims(tmp_path):
     rng = np.random.default_rng(4)
     utts = [Utterance(f"u{i}", rng.standard_normal((4, F)), "spoof")

@@ -19,6 +19,7 @@ from tcmnet.metrics import (
     evaluate,
     read_scores,
     score_split,
+    split_by_label,
     sweep_thresholds,
     write_scores,
 )
@@ -327,9 +328,9 @@ def test_evaluate_constant_scores_half_eer():
 
 def test_evaluate_missing_protocol_id():
     utts = _tiny_split(4)
+    records = score_split(_tiny_model(), utts, mode="fixed", target_T=10)
     with pytest.raises(ConfigError, match="missing from protocol"):
-        evaluate(_tiny_model(), utts, mode="fixed", target_T=10,
-                 protocol=[(utts[0].id, utts[0].label)])
+        split_by_label(records, dict([(utts[0].id, utts[0].label)]))
 
 
 @pytest.mark.parametrize("mode", ["fixed", "variable"])

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles as oc
-from helpers import assert_grads_close, finite_diff
+from helpers import assert_grads_close, finite_diff, forward_score
 from tcmnet import tensor as tt
 from tcmnet.data import Utterance
 from tcmnet.experiments import VARIANTS
@@ -14,7 +16,6 @@ from tcmnet.model import (
     TcmToggles,
     param_count,
     tcm_param_delta,
-    with_toggles,
 )
 from tcmnet.tensor import ConfigError, Tensor
 
@@ -192,8 +193,8 @@ def test_tcm_attention_matches_oracle():
 
 
 def test_enrich_cls_pass_through_when_off():
-    cfg = with_toggles(small_config(), add_mean_ht_to_cls=False,
-                       add_mean_tt_to_cls=False)
+    cfg = small_config(toggles=TcmToggles(add_mean_ht_to_cls=False,
+                                          add_mean_tt_to_cls=False))
     m = Model(cfg, seed=12)
     temporal = np.random.default_rng(12).standard_normal((6, 8))
     head = np.random.default_rng(13).standard_normal((2, 8))
@@ -249,10 +250,10 @@ def test_use_tcm_false_is_plain_mhsa():
 
 
 def test_all_toggles_off_equals_plain_mhsa():
-    cfg = with_toggles(
-        small_config(), ht_embedding=False, ht_in_mhsa=False,
+    cfg = small_config(toggles=TcmToggles(
+        ht_embedding=False, ht_in_mhsa=False,
         add_mean_ht_to_cls=False, add_mean_tt_to_cls=False,
-    )
+    ))
     m = Model(cfg, seed=18)
     x = np.random.default_rng(18).standard_normal((6, 8))
     out = m.tcm_forward(Tensor(x), "block0.").data
@@ -320,38 +321,40 @@ def test_transformer_block_zero_ffn_keeps_attention_output():
 def test_model_forward_deterministic():
     m = Model(small_config(blocks=2), seed=24)
     x = np.random.default_rng(24).standard_normal((6, 6))
-    s1, _ = m.forward(x)
-    s2, _ = m.forward(x.copy())
-    assert s1 == s2
+    l1 = m.forward_batch(x[None]).data
+    l2 = m.forward_batch(x.copy()[None]).data
+    assert np.array_equal(l1, l2)
 
 
 def test_model_forward_zero_head_scores_zero():
     m = Model(small_config(), seed=25)
     m.p("head.weight").data[:] = 0.0
-    s, logits = m.forward(np.random.default_rng(25).standard_normal((4, 6)))
-    assert s == 0.0
-    assert np.array_equal(logits.data, np.zeros(2))
+    x = np.random.default_rng(25).standard_normal((4, 6))
+    assert forward_score(m, x) == 0.0
+    assert np.array_equal(m.forward_batch(x[None]).data, np.zeros((1, 2)))
 
 
 def test_model_forward_matches_oracle():
     m = Model(small_config(blocks=2, positional_encoding="sinusoidal"), seed=26)
     x = np.random.default_rng(26).standard_normal((6, 6))
-    s, logits = m.forward(x)
+    logits = m.forward_batch(x[None]).data[0]
     s_np, logits_np = oc.model_forward_np(x, oc.numpy_params(m), m.config)
-    assert abs(s - s_np) < 1e-9
-    assert np.max(np.abs(logits.data - logits_np)) < 1e-9
+    assert abs(forward_score(m, x) - s_np) < 1e-9
+    assert np.max(np.abs(logits - logits_np)) < 1e-9
 
 
 def test_model_forward_rejects_empty():
     m = Model(small_config(), seed=27)
     with pytest.raises(ConfigError):
-        m.forward(np.zeros((0, 6)))
+        m.forward_batch(np.zeros((1, 0, 6)))
+    with pytest.raises(ConfigError):
+        m.score(np.zeros((0, 6)))
 
 
 def test_attention_length_instrumentation():
     m = Model(small_config(), seed=28)
     trace = []
-    m.forward(np.random.default_rng(28).standard_normal((5, 6)), trace=trace)
+    m.forward_batch(np.random.default_rng(28).standard_normal((1, 5, 6)), trace=trace)
     assert all(t["attn_len"] == 5 + 2 + 1 for t in trace)  # T + H + 1
 
 
@@ -369,14 +372,16 @@ def test_param_delta_formula_cases():
 def test_param_delta_embedding_toggle():
     cfg = small_config(blocks=2)
     _, full = param_count(Model(cfg, seed=0))
-    _, reduced = param_count(Model(with_toggles(cfg, ht_embedding=False), seed=0))
+    _, reduced = param_count(Model(replace(cfg, toggles=TcmToggles(ht_embedding=False)),
+                                   seed=0))
     assert full - reduced == cfg.blocks * cfg.heads * cfg.dim
 
 
 def test_param_count_matches_actual_difference():
     cfg = small_config(blocks=2)
     tcm_total, delta = param_count(Model(cfg, seed=0))
-    plain_total, _ = param_count(Model(with_toggles(cfg, use_tcm=False), seed=0))
+    plain_total, _ = param_count(Model(replace(cfg, toggles=TcmToggles(use_tcm=False)),
+                                       seed=0))
     assert tcm_total - plain_total == delta == tcm_param_delta(cfg)
 
 
@@ -392,7 +397,7 @@ def test_end_to_end_gradients_match_finite_differences():
 
     tt.reset_tape()
     m.zero_grads()
-    _, logits = m.forward(x)
+    logits = m.forward_batch(x[None])
     tt.backward(tt.sum_all(tt.mul(logits, Tensor(w))))
     analytic = {k: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
                 for k, t in m.params.items()}
@@ -401,8 +406,7 @@ def test_end_to_end_gradients_match_finite_differences():
 
     def f():
         with tt.no_grad():
-            _, lg = m.forward(x)
-            return float(lg.data @ w)
+            return float(m.forward_batch(x[None]).data[0] @ w)
 
     numeric = finite_diff(f, arrays)
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
@@ -438,8 +442,8 @@ def test_forward_batch_matches_per_utterance():
     feats = np.random.default_rng(31).standard_normal((4, 9, 6))
     batched = m.forward_batch(feats).data
     for i in range(4):
-        _, logits = m.forward(feats[i])
-        assert np.allclose(batched[i], logits.data, atol=1e-12)
+        logits = m.forward_batch(feats[i : i + 1]).data[0]
+        assert np.allclose(batched[i], logits, atol=1e-12)
 
 
 def test_forward_batch_trace_matches_per_utterance():
@@ -452,7 +456,7 @@ def test_forward_batch_trace_matches_per_utterance():
     assert len(trace) == cfg.blocks * B * H
     for i in range(B):
         single = []
-        m.forward(feats[i], trace=single)
+        m.forward_batch(feats[i : i + 1], trace=single)
         assert len(single) == cfg.blocks * H
         for blk in range(cfg.blocks):
             for h in range(H):
@@ -479,8 +483,7 @@ def test_forward_batch_gradients_match_summed_per_utterance():
     tt.reset_tape()
     m.zero_grads()
     for i in range(3):
-        _, logits = m.forward(feats[i])
-        tt.backward(tt.sum_all(logits))
+        tt.backward(tt.sum_all(m.forward_batch(feats[i : i + 1])))
         tt.reset_tape()
     for k, t in m.params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -591,6 +594,6 @@ def test_variable_mode_score_equals_forward_bit_for_bit(kind):
     rng = np.random.default_rng(37)
     utts = [Utterance(f"u{i:02d}", rng.standard_normal((T, 6)), "spoof")
             for i, T in enumerate(_pruning_lengths(15) * 3)]
-    want = [m.forward(u.features)[0] for u in utts]
+    want = [forward_score(m, u.features) for u in utts]
     tt.reset_tape()
     assert [r.score for r in score_split(m, utts, mode="variable")] == want

@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import forward_score
 from tcmnet import metrics
 from tcmnet import tensor as tt
 from tcmnet.data import CorpusSpec, Utterance, fix_length, generate_corpus
@@ -111,7 +112,7 @@ def _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want, **kw)
 def test_variable_scoring_matches_forward_per_utterance(kind, monkeypatch, busy_threads):
     utts = _mixed_length_split()
     m = Model(_config(kind, TcmToggles()), seed=12)
-    want = [m.forward(u.features)[0] for u in utts]
+    want = [forward_score(m, u.features) for u in utts]
     tt.reset_tape()
     _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want, mode="variable")
 
@@ -119,7 +120,7 @@ def test_variable_scoring_matches_forward_per_utterance(kind, monkeypatch, busy_
 def test_fixed_scoring_matches_forward_per_utterance(monkeypatch, busy_threads):
     utts = _mixed_length_split()
     m = Model(_config("conformer", TcmToggles()), seed=15)
-    want = [m.forward(fix_length(u.features, 8))[0] for u in utts]
+    want = [forward_score(m, fix_length(u.features, 8)) for u in utts]
     tt.reset_tape()
     _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want,
                                                mode="fixed", target_T=8)
