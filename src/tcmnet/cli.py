@@ -61,6 +61,8 @@ def cmd_train(args):
     tconf = cfg.train_config()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for old in out_dir.glob("epoch_*.ckpt"):  # an earlier run's epochs
+        old.unlink()
     M.write_report(cfg.resolved(), out_dir / "resolved_config.json")
 
     log_path = out_dir / "train_log.jsonl"
@@ -85,32 +87,45 @@ def cmd_train(args):
     return 0
 
 
-def _model_from_checkpoint(ckpt: TR.Checkpoint, feature_dim):
-    cfg = RunConfig(ckpt.config_echo)
-    model_config = cfg.model_config(feature_dim)
-    model = Model(model_config, seed=0)
-    TR.load_into_model(model, ckpt)
-    return model, cfg
+def _check_model_keys(stated, trained, where="model"):
+    """Refuse a key of the config's model section that contradicts the
+    checkpoint's model (`trained`, its resolved model section)."""
+    for key, value in stated.items():
+        if isinstance(value, dict):
+            _check_model_keys(value, trained[key], f"{where}.{key}")
+        elif value != trained[key]:
+            raise ConfigError(f"config key {where}.{key} is {value!r}, but the "
+                              f"checkpoint's model has {trained[key]!r}")
 
 
 def cmd_eval(args):
+    """Score a split with the checkpoint's model. --config may change how it
+    is scored, not the model: its model keys must match the checkpoint's,
+    and the class weights default to the checkpoint's training weights."""
     cfg = _load_config(args) if args.config else None
     ckpt = TR.load_checkpoint(args.checkpoint)
+    trained = RunConfig(ckpt.config_echo)
+    echo = trained.resolved()
+    if cfg:
+        _check_model_keys(cfg.doc.get("model", {}), echo["model"])
+        echo = dict(cfg.resolved(), model=echo["model"])
+    active = cfg or trained
     utts = D.read_split(Path(args.data_dir) / args.split)
-    model, ckpt_cfg = _model_from_checkpoint(ckpt, utts[0].F)
-    active = cfg or ckpt_cfg
+    model = Model(trained.model_config(utts[0].F), seed=0)
+    TR.load_into_model(model, ckpt)
     costs = active.tdcf_costs()
     tconf = active.train_config()
     mode = args.mode or active.eval_mode()
     report, records = M.evaluate(model, utts, mode=mode, costs=costs,
                                  target_T=tconf.target_T)
-    weights = tconf.class_weights or TR.inverse_frequency_weights(utts)
+    weights = (tconf.class_weights or trained.train_config().class_weights
+               or TR.inverse_frequency_weights(utts))
     report["mean_loss"] = TR.score_loss([r.score for r in records],
                                         [TR.LABEL_INDEX[u.label] for u in utts], weights)
     report["mode"] = mode
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    M.write_report(active.resolved(), out_dir / "resolved_config.json")
+    M.write_report(echo, out_dir / "resolved_config.json")
     M.write_scores(records, out_dir / "scores.txt")
     M.write_report(report, out_dir / "report.json")
     print(M.report_json(report))

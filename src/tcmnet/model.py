@@ -150,12 +150,62 @@ def unflatten(flat, inventory):
     return [part.reshape(shape) for part, (_, shape) in zip(np.split(flat, cuts), inventory)]
 
 
+def _layout(c: ModelConfig):
+    """Every parameter's (name, shape), in `Model.flat` order: the order
+    checkpoints store them in. A linear layer `name` holds `name.weight`
+    (in x out) and `name.bias`, a layer norm `name.gamma` and `name.beta`."""
+    D, E = c.dim, c.ffn_expansion * c.dim
+
+    def linear(name, fan_in, fan_out):
+        return [(name + ".weight", (fan_in, fan_out)), (name + ".bias", (fan_out,))]
+
+    def norm(name):
+        return [(name + ".gamma", (D,)), (name + ".beta", (D,))]
+
+    def ffn(p):
+        return norm(p + "ln") + linear(p + "lin1", D, E) + linear(p + "lin2", E, D)
+
+    def attention(p):
+        out = [e for w in ("wq", "wk", "wv", "wo") for e in linear(f"{p}attn.{w}", D, D)]
+        if c.toggles.use_tcm:
+            out += linear(p + "tcm.head_proj", c.head_dim, D)
+            if c.toggles.ht_embedding:
+                out.append((p + "tcm.head_token_embedding", (c.heads, D)))
+        return out
+
+    layout = linear("proj", c.feature_dim, D) + [("cls", (D,))]
+    for b in range(c.blocks):
+        p = f"block{b}."
+        if c.block_kind == "conformer":
+            layout += (ffn(p + "ffn1.") + norm(p + "ln_attn") + attention(p)
+                       + norm(p + "ln_conv") + linear(p + "conv.pw1", D, 2 * D)
+                       + [(p + "conv.dw.kernel", (c.conv_kernel, D))]
+                       + linear(p + "conv.pw2", D, D) + ffn(p + "ffn2.") + norm(p + "ln_final"))
+        else:
+            layout += norm(p + "ln_attn") + attention(p) + ffn(p + "ffn.")
+    return layout + linear("head", D, 2)
+
+
+def _initial_value(rng, name, shape):
+    """Zeros for biases and betas, ones for gammas, N(0, 0.02) for the
+    classification and head token embeddings, and Xavier-uniform for every
+    matrix (the conv kernel's fans are its K and D)."""
+    if name.endswith((".bias", ".beta")):
+        return np.zeros(shape)
+    if name.endswith(".gamma"):
+        return np.ones(shape)
+    if name == "cls" or name.endswith("head_token_embedding"):
+        return rng.normal(0.0, 0.02, size=shape)
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 class Model:
-    """Parameter container plus forward pass. Parameters live in an ordered
-    name -> Tensor dict; `inventory` holds each one's (name, shape) in that
-    order. Their values and gradients are views, in that order, into the
-    vectors `flat` and `grad` (`unflatten`): write parameters in place
-    (`data[...] = x`), never rebind `.data`.
+    """Parameter container plus forward pass. `inventory` holds each
+    parameter's (name, shape) in `_layout` order, and `params` maps each name
+    to its Tensor in that order. Their values and gradients are views, in
+    that order, into the vectors `flat` and `grad` (`unflatten`): write
+    parameters in place (`data[...] = x`), never rebind `.data`.
 
     `micro[i]` is the model that micro-batch i of a training step runs
     (train.batch_logits): its own parameter Tensors, whose values are the
@@ -164,101 +214,38 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed=0):
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(seed))
-        self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
-        self._bind(self.params, np.zeros_like(self.flat))
+        self.inventory = tuple(_layout(config))
+        rng = np.random.default_rng(seed)
+        self.flat = np.concatenate([_initial_value(rng, name, shape).ravel()
+                                    for name, shape in self.inventory])
+        self._bind(np.zeros_like(self.flat))
         self.micro_grad = np.zeros((tt.MICRO_BATCHES, self.flat.size))
         self.micro = [self._replica(grad) for grad in self.micro_grad]
 
-    def _bind(self, params, grad):
-        """Take `params` and `grad` as this model's, each parameter's value a
-        view into `flat` and its gradient a view into `grad`."""
-        self.params, self.grad = params, grad
-        self.inventory = tuple((name, t.shape) for name, t in params.items())
-        for t, data, g in zip(params.values(), unflatten(self.flat, self.inventory),
-                              unflatten(grad, self.inventory)):
-            t.data, t.grad = data, g
+    def _bind(self, grad):
+        """New parameter Tensors, each one's value a view into `flat` and its
+        gradient a view into `grad`."""
+        self.grad, self.params = grad, {}
+        for (name, _), data, g in zip(self.inventory, unflatten(self.flat, self.inventory),
+                                      unflatten(grad, self.inventory)):
+            self.params[name] = t = Tensor(data, requires_grad=True)
+            t.grad = g
 
     def _replica(self, grad):
         """A model on the same values whose gradients land in `grad`."""
         replica = Model.__new__(Model)
-        replica.config, replica.flat = self.config, self.flat
-        replica._bind({name: Tensor(t.data, requires_grad=True)
-                       for name, t in self.params.items()}, grad)
+        replica.config, replica.inventory, replica.flat = self.config, self.inventory, self.flat
+        replica._bind(grad)
         return replica
-
-    # -- construction -------------------------------------------------------
-
-    def _param(self, name, value):
-        t = Tensor(value, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _xavier(self, rng, fan_in, fan_out, shape=None):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
-
-    def _init_params(self, rng):
-        c = self.config
-        D, H, d, e = c.dim, c.heads, c.head_dim, c.ffn_expansion
-        self._param("proj.weight", self._xavier(rng, c.feature_dim, D))
-        self._param("proj.bias", np.zeros(D))
-        self._param("cls", rng.normal(0.0, 0.02, size=D))
-        for b in range(c.blocks):
-            p = f"block{b}."
-            if c.block_kind == "conformer":
-                self._ffn_params(rng, p + "ffn1.", D, e)
-                self._ln_params(p + "ln_attn.", D)
-                self._attn_params(rng, p)
-                self._ln_params(p + "ln_conv.", D)
-                self._param(p + "conv.pw1.weight", self._xavier(rng, D, 2 * D))
-                self._param(p + "conv.pw1.bias", np.zeros(2 * D))
-                self._param(
-                    p + "conv.dw.kernel",
-                    self._xavier(rng, c.conv_kernel, D, (c.conv_kernel, D)),
-                )
-                self._param(p + "conv.pw2.weight", self._xavier(rng, D, D))
-                self._param(p + "conv.pw2.bias", np.zeros(D))
-                self._ffn_params(rng, p + "ffn2.", D, e)
-                self._ln_params(p + "ln_final.", D)
-            else:
-                self._ln_params(p + "ln_attn.", D)
-                self._attn_params(rng, p)
-                self._ffn_params(rng, p + "ffn.", D, e)
-        self._param("head.weight", self._xavier(rng, D, 2))
-        self._param("head.bias", np.zeros(2))
-
-    def _ln_params(self, prefix, D):
-        self._param(prefix + "gamma", np.ones(D))
-        self._param(prefix + "beta", np.zeros(D))
-
-    def _ffn_params(self, rng, prefix, D, e):
-        self._ln_params(prefix + "ln.", D)
-        self._param(prefix + "lin1.weight", self._xavier(rng, D, e * D))
-        self._param(prefix + "lin1.bias", np.zeros(e * D))
-        self._param(prefix + "lin2.weight", self._xavier(rng, e * D, D))
-        self._param(prefix + "lin2.bias", np.zeros(D))
-
-    def _attn_params(self, rng, prefix):
-        c = self.config
-        D = c.dim
-        for name in ("wq", "wk", "wv", "wo"):
-            self._param(prefix + f"attn.{name}.weight", self._xavier(rng, D, D))
-            self._param(prefix + f"attn.{name}.bias", np.zeros(D))
-        if c.toggles.use_tcm:
-            self._param(
-                prefix + "tcm.head_proj.weight", self._xavier(rng, c.head_dim, D)
-            )
-            self._param(prefix + "tcm.head_proj.bias", np.zeros(D))
-            if c.toggles.ht_embedding:
-                self._param(
-                    prefix + "tcm.head_token_embedding",
-                    rng.normal(0.0, 0.02, size=(c.heads, D)),
-                )
 
     def p(self, name):
         return self.params[name]
+
+    def _linear(self, x, name):
+        return tt.affine(x, self.params[name + ".weight"], self.params[name + ".bias"])
+
+    def _norm(self, x, name):
+        return tt.layer_norm(x, self.params[name + ".gamma"], self.params[name + ".beta"])
 
     def zero_grads(self):
         self.grad.fill(0.0)
@@ -278,10 +265,8 @@ class Model:
         c = self.config
         x = Tensor(features)
         if x.shape[-1] != c.feature_dim:
-            raise ConfigError(
-                f"feature dim {x.shape[-1]} does not match config {c.feature_dim}"
-            )
-        out = tt.affine(x, self.p("proj.weight"), self.p("proj.bias"))
+            raise ConfigError(f"feature dim {x.shape[-1]} does not match config {c.feature_dim}")
+        out = self._linear(x, "proj")
         if c.positional_encoding == "sinusoidal":
             out = tt.add(out, Tensor(sinusoidal_encoding(out.shape[-2], c.dim)))
         return out
@@ -295,13 +280,10 @@ class Model:
     def _mhsa(self, x, prefix, trace=None, rows=None):
         """Standard multi-head attention over an S x D sequence; with `rows`,
         for its leading query rows only."""
-        c = self.config
-        xq = x if rows is None else tt.slice_axis(x, -2, 0, rows)
-        q = tt.affine(xq, self.p(prefix + "attn.wq.weight"), self.p(prefix + "attn.wq.bias"))
-        k = tt.affine(x, self.p(prefix + "attn.wk.weight"), self.p(prefix + "attn.wk.bias"))
-        v = tt.affine(x, self.p(prefix + "attn.wv.weight"), self.p(prefix + "attn.wv.bias"))
-        cat = tt.mhsa_core(q, k, v, c.heads, trace=trace)
-        return tt.affine(cat, self.p(prefix + "attn.wo.weight"), self.p(prefix + "attn.wo.bias"))
+        q = self._linear(x if rows is None else tt.slice_axis(x, -2, 0, rows), prefix + "attn.wq")
+        k, v = self._linear(x, prefix + "attn.wk"), self._linear(x, prefix + "attn.wv")
+        cat = tt.mhsa_core(q, k, v, self.config.heads, trace=trace)
+        return self._linear(cat, prefix + "attn.wo")
 
     def generate_head_tokens(self, tokens, prefix):
         """Pool each channel segment over the CLS and T rows, project d->D,
@@ -309,13 +291,7 @@ class Model:
         c = self.config
         pooled = tt.mean_over_time(tokens)  # (..., D)
         segments = tt.reshape(pooled, pooled.shape[:-1] + (c.heads, c.head_dim))
-        ht = tt.gelu(
-            tt.affine(
-                segments,
-                self.p(prefix + "tcm.head_proj.weight"),
-                self.p(prefix + "tcm.head_proj.bias"),
-            )
-        )
+        ht = tt.gelu(self._linear(segments, prefix + "tcm.head_proj"))
         if c.toggles.ht_embedding:
             ht = tt.add(ht, self.p(prefix + "tcm.head_token_embedding"))
         return ht
@@ -367,30 +343,19 @@ class Model:
 
     def _ffn(self, x, prefix, drop):
         conformer = self.config.block_kind == "conformer"
-        h = tt.layer_norm(x, self.p(prefix + "ln.gamma"), self.p(prefix + "ln.beta"))
-        h = tt.affine(h, self.p(prefix + "lin1.weight"), self.p(prefix + "lin1.bias"))
+        h = self._linear(self._norm(x, prefix + "ln"), prefix + "lin1")
         h = tt.swish(h) if conformer else tt.gelu(h)
-        h = tt.affine(h, self.p(prefix + "lin2.weight"), self.p(prefix + "lin2.bias"))
-        h = _dropout(h, drop)
+        h = _dropout(self._linear(h, prefix + "lin2"), drop)
         return tt.add(x, tt.scale(h, 0.5) if conformer else h)
 
     def _conv_module(self, x, prefix):
         c = self.config
-        h = tt.layer_norm(
-            x, self.p(prefix + "ln_conv.gamma"), self.p(prefix + "ln_conv.beta")
-        )
-        h = tt.affine(
-            h, self.p(prefix + "conv.pw1.weight"), self.p(prefix + "conv.pw1.bias")
-        )
+        h = self._linear(self._norm(x, prefix + "ln_conv"), prefix + "conv.pw1")
         a = tt.slice_axis(h, -1, 0, c.dim)
         b = tt.slice_axis(h, -1, c.dim, 2 * c.dim)
         h = tt.mul(a, tt.sigmoid(b))  # GLU
-        h = tt.depthwise_conv1d(h, self.p(prefix + "conv.dw.kernel"))
-        h = tt.swish(h)
-        h = tt.affine(
-            h, self.p(prefix + "conv.pw2.weight"), self.p(prefix + "conv.pw2.bias")
-        )
-        return tt.add(x, h)
+        h = tt.swish(tt.depthwise_conv1d(h, self.p(prefix + "conv.dw.kernel")))
+        return tt.add(x, self._linear(h, prefix + "conv.pw2"))
 
     def _attention_residual(self, x, prefix, drop, trace, rows=None):
         """x + dropout(attention(layer_norm(x))), at x's leading `rows` rows
@@ -400,7 +365,7 @@ class Model:
         tg = self.config.toggles
         enriched = tg.use_tcm and (tg.add_mean_ht_to_cls or tg.add_mean_tt_to_cls)
         query_rows = None if enriched or trace is not None else rows
-        h = tt.layer_norm(x, self.p(prefix + "ln_attn.gamma"), self.p(prefix + "ln_attn.beta"))
+        h = self._norm(x, prefix + "ln_attn")
         attn = self.tcm_forward(h, prefix, trace=trace, rows=query_rows)
         if rows is not None:
             x = tt.slice_axis(x, -2, 0, rows)
@@ -424,7 +389,7 @@ class Model:
         if cls_only:
             x = tt.slice_axis(x, -2, 0, 1)
         x = self._ffn(x, p + "ffn2.", drop)
-        return tt.layer_norm(x, self.p(p + "ln_final.gamma"), self.p(p + "ln_final.beta"))
+        return self._norm(x, p + "ln_final")
 
     def forward_batch(self, features, drop=None, trace=None):
         """(B, T, F) stacked same-length features -> (B, 2) logits."""
@@ -438,8 +403,7 @@ class Model:
         last = self.config.blocks - 1
         for b in range(self.config.blocks):  # the head reads only the CLS row
             x = self.block_forward(x, b, drop=drop, trace=trace, cls_only=b == last)
-        out = tt.affine(x, self.p("head.weight"), self.p("head.bias"))
-        return tt.reshape(out, (feats.shape[0], 2))
+        return tt.reshape(self._linear(x, "head"), (feats.shape[0], 2))
 
     def score(self, features):
         """T x F features -> score; B x T x F -> list of B scores. Runs
@@ -457,8 +421,7 @@ class Model:
 def tcm_param_delta(config: ModelConfig):
     """Parameter count the full temporal-channel module adds over plain MHSA:
     blocks * (head_dim*dim + dim + heads*dim) — the shared d->D projection
-    with bias plus the (H x D) head token embedding.
-    """
+    with bias plus the (H x D) head token embedding."""
     c = config
     return c.blocks * (c.head_dim * c.dim + c.dim + c.heads * c.dim)
 

@@ -253,6 +253,69 @@ def test_eval_reproduces_logged_val_loss(trained, tmp_path):
     assert report["mean_loss"] == pytest.approx(last["val_loss"], abs=1e-12)
 
 
+def test_eval_with_the_training_config_reproduces_logged_val_loss(tiny_config, tmp_path):
+    # five dev utterances cannot split evenly, so their inverse class
+    # frequencies differ from the training weights the logged loss used
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    small_dev = ["--set", "corpus.n_dev=5"]
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir", str(data_dir),
+                 *small_dev]) == 0
+    assert main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                 "--out-dir", str(run_dir), *small_dev]) == 0
+    last = json.loads((run_dir / "train_log.jsonl").read_text().splitlines()[-1])
+    for config in ([], ["--config", str(tiny_config), *small_dev]):
+        out = tmp_path / f"eval_{len(config)}"
+        assert main(["eval", *config, "--checkpoint",
+                     str(run_dir / f"epoch_{last['epoch']:03d}.ckpt"),
+                     "--data-dir", str(data_dir), "--out-dir", str(out),
+                     "--split", "dev", "--mode", "fixed"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mean_loss"] == pytest.approx(last["val_loss"], abs=1e-12), config
+
+
+@pytest.mark.parametrize("override, key", [("model.dim=16", "model.dim"),
+                                           ("model.toggles.use_tcm=false",
+                                            "model.toggles.use_tcm")])
+def test_eval_refuses_a_model_key_that_contradicts_the_checkpoint(
+        trained, tmp_path, capsys, override, key):
+    config, data_dir, run_dir = trained
+    out = tmp_path / "e"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--checkpoint",
+                 str(run_dir / "final.ckpt"), "--data-dir", str(data_dir),
+                 "--out-dir", str(out), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model_section", [True, False])
+def test_eval_echo_describes_the_checkpoint_model(trained, tmp_path, model_section):
+    config, data_dir, run_dir = trained
+    doc = json.loads(config.read_text())
+    if not model_section:  # the defaults would describe a dim-32, 2-block model
+        del doc["model"]
+    path = tmp_path / "eval_config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(path), "--checkpoint",
+                 str(run_dir / "final.ckpt"), "--data-dir", str(data_dir),
+                 "--out-dir", str(out)]) == 0
+    echo = json.loads((out / "resolved_config.json").read_text())
+    assert echo["model"] == load_checkpoint(run_dir / "final.ckpt").config_echo["model"]
+
+
+def test_train_drops_an_earlier_runs_epoch_checkpoints(tiny_config, tmp_path):
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--config", str(tiny_config), "--out-dir",
+                 str(data_dir)]) == 0
+    for epochs in (3, 1):
+        assert main(["train", "--config", str(tiny_config), "--data-dir", str(data_dir),
+                     "--out-dir", str(run_dir), "--set", f"train.max_epochs={epochs}"]) == 0
+    assert sorted(p.name for p in run_dir.glob("*.ckpt")) == ["epoch_001.ckpt", "final.ckpt"]
+    assert len((run_dir / "train_log.jsonl").read_text().splitlines()) == 1
+
+
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
 def test_eval_runs_the_model_once_per_utterance(trained, tmp_path, monkeypatch, mode):
     _, data_dir, run_dir = trained

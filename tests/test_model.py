@@ -14,6 +14,8 @@ from tcmnet.model import (
     Model,
     ModelConfig,
     TcmToggles,
+    _initial_value,
+    _layout,
     param_count,
     tcm_param_delta,
 )
@@ -383,6 +385,96 @@ def test_param_count_matches_actual_difference():
     plain_total, _ = param_count(Model(replace(cfg, toggles=TcmToggles(use_tcm=False)),
                                        seed=0))
     assert tcm_total - plain_total == delta == tcm_param_delta(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the parameter layout: checkpoints store the parameters in this order
+
+_CONFORMER_INVENTORY = (
+    ("proj.weight", (6, 8)), ("proj.bias", (8,)), ("cls", (8,)),
+    ("block0.ffn1.ln.gamma", (8,)), ("block0.ffn1.ln.beta", (8,)),
+    ("block0.ffn1.lin1.weight", (8, 32)), ("block0.ffn1.lin1.bias", (32,)),
+    ("block0.ffn1.lin2.weight", (32, 8)), ("block0.ffn1.lin2.bias", (8,)),
+    ("block0.ln_attn.gamma", (8,)), ("block0.ln_attn.beta", (8,)),
+    ("block0.attn.wq.weight", (8, 8)), ("block0.attn.wq.bias", (8,)),
+    ("block0.attn.wk.weight", (8, 8)), ("block0.attn.wk.bias", (8,)),
+    ("block0.attn.wv.weight", (8, 8)), ("block0.attn.wv.bias", (8,)),
+    ("block0.attn.wo.weight", (8, 8)), ("block0.attn.wo.bias", (8,)),
+    ("block0.tcm.head_proj.weight", (4, 8)), ("block0.tcm.head_proj.bias", (8,)),
+    ("block0.tcm.head_token_embedding", (2, 8)),
+    ("block0.ln_conv.gamma", (8,)), ("block0.ln_conv.beta", (8,)),
+    ("block0.conv.pw1.weight", (8, 16)), ("block0.conv.pw1.bias", (16,)),
+    ("block0.conv.dw.kernel", (3, 8)),
+    ("block0.conv.pw2.weight", (8, 8)), ("block0.conv.pw2.bias", (8,)),
+    ("block0.ffn2.ln.gamma", (8,)), ("block0.ffn2.ln.beta", (8,)),
+    ("block0.ffn2.lin1.weight", (8, 32)), ("block0.ffn2.lin1.bias", (32,)),
+    ("block0.ffn2.lin2.weight", (32, 8)), ("block0.ffn2.lin2.bias", (8,)),
+    ("block0.ln_final.gamma", (8,)), ("block0.ln_final.beta", (8,)),
+    ("head.weight", (8, 2)), ("head.bias", (2,)),
+)
+_TRANSFORMER_INVENTORY = (
+    ("proj.weight", (6, 8)), ("proj.bias", (8,)), ("cls", (8,)),
+    ("block0.ln_attn.gamma", (8,)), ("block0.ln_attn.beta", (8,)),
+    ("block0.attn.wq.weight", (8, 8)), ("block0.attn.wq.bias", (8,)),
+    ("block0.attn.wk.weight", (8, 8)), ("block0.attn.wk.bias", (8,)),
+    ("block0.attn.wv.weight", (8, 8)), ("block0.attn.wv.bias", (8,)),
+    ("block0.attn.wo.weight", (8, 8)), ("block0.attn.wo.bias", (8,)),
+    ("block0.tcm.head_proj.weight", (4, 8)), ("block0.tcm.head_proj.bias", (8,)),
+    ("block0.tcm.head_token_embedding", (2, 8)),
+    ("block0.ffn.ln.gamma", (8,)), ("block0.ffn.ln.beta", (8,)),
+    ("block0.ffn.lin1.weight", (8, 32)), ("block0.ffn.lin1.bias", (32,)),
+    ("block0.ffn.lin2.weight", (32, 8)), ("block0.ffn.lin2.bias", (8,)),
+    ("head.weight", (8, 2)), ("head.bias", (2,)),
+)
+
+
+@pytest.mark.parametrize("kind, want", [("conformer", _CONFORMER_INVENTORY),
+                                        ("transformer", _TRANSFORMER_INVENTORY)])
+@pytest.mark.parametrize("use_tcm", [True, False])
+def test_inventory_keeps_the_checkpoint_order(kind, want, use_tcm):
+    cfg = small_config(block_kind=kind, toggles=TcmToggles(use_tcm=use_tcm))
+    if not use_tcm:  # plain MHSA: the same entries without the TCM's three
+        want = tuple(entry for entry in want if ".tcm." not in entry[0])
+    assert Model(cfg, seed=0).inventory == want
+    assert tuple(_layout(cfg)) == want
+
+
+@pytest.mark.parametrize("kind", ["conformer", "transformer"])
+def test_initial_values_follow_the_name_rules(kind):
+    model = Model(small_config(block_kind=kind), seed=3)
+    matrices = 0
+    for name, t in model.params.items():
+        if name.endswith((".bias", ".beta")):
+            assert not t.data.any(), name
+        elif name.endswith(".gamma"):
+            assert (t.data == 1.0).all(), name
+        elif name == "cls" or name.endswith("head_token_embedding"):
+            assert 0.0 < t.data.std() < 0.1, name
+        else:  # every matrix, the conv kernel too: Xavier-uniform
+            limit = np.sqrt(6.0 / sum(t.shape))
+            assert t.data.ndim == 2 and (np.abs(t.data) <= limit).all(), name
+            assert t.data.min() < t.data.max(), name
+            matrices += 1
+    assert matrices == (14 if kind == "conformer" else 9)
+    # values are drawn in inventory order from one generator of the seed
+    rng = np.random.default_rng(3)
+    want = [_initial_value(rng, name, shape).ravel() for name, shape in model.inventory]
+    assert model.flat.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_layout_tcm_entries_sum_to_the_paper_delta():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        heads = int(rng.integers(1, 5))
+        cfg = ModelConfig(
+            feature_dim=int(rng.integers(1, 9)), dim=heads * int(rng.integers(1, 5)),
+            heads=heads, blocks=int(rng.integers(1, 4)),
+            conv_kernel=int(rng.choice([1, 3, 5])),
+            ffn_expansion=int(rng.integers(1, 4)))
+        for kind in ("conformer", "transformer"):
+            layout = _layout(replace(cfg, block_kind=kind))
+            tcm = sum(int(np.prod(shape)) for name, shape in layout if ".tcm." in name)
+            assert tcm == tcm_param_delta(cfg), (kind, cfg)
 
 
 # ---------------------------------------------------------------------------
