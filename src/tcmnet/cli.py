@@ -8,6 +8,7 @@ its outputs, logs JSON lines for machines and a short summary to stderr.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import replace
@@ -30,6 +31,21 @@ def _load_config(args) -> RunConfig:
     return RunConfig.load(args.config, overrides=args.set or [])
 
 
+def _read_splits(data_dir, splits, feature_dim=None, source=None):
+    """{split: utterances} of each of `splits` under `data_dir`. Every split
+    must have feature dim `feature_dim`, that of `source`; by default, the
+    first split's."""
+    data_dir = Path(data_dir)
+    corpus = {s: D.read_split(data_dir / s) for s in splits}
+    if feature_dim is None:
+        feature_dim, source = corpus[splits[0]][0].F, f"split directory {data_dir / splits[0]}"
+    for split, utts in corpus.items():
+        if utts[0].F != feature_dim:
+            raise ConfigError(f"split directory {data_dir / split} has feature dim "
+                              f"{utts[0].F}, but {source} has {feature_dim}")
+    return corpus
+
+
 def cmd_gen_data(args):
     cfg = _load_config(args)
     spec = cfg.corpus_spec()
@@ -49,8 +65,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    train_utts = D.read_split(Path(args.data_dir) / "train")
-    dev_utts = D.read_split(Path(args.data_dir) / "dev")
+    train_utts, dev_utts = _read_splits(args.data_dir, ("train", "dev")).values()
     # every config check runs before the run directory exists
     model_config = cfg.model_config(train_utts[0].F)
     # resolve class weights up front so the echo and checkpoints carry them
@@ -99,23 +114,26 @@ def _check_model_keys(stated, trained, where="model"):
 
 
 def cmd_eval(args):
-    """Score a split with the checkpoint's model. --config may change how it
-    is scored, not the model: its model keys must match the checkpoint's,
-    and the class weights default to the checkpoint's training weights."""
-    cfg = _load_config(args) if args.config else None
+    """Score a split with the checkpoint's model. The config (--config, else
+    the checkpoint's echo, with --set on top) may change how it is scored,
+    not the model: its model keys must match the checkpoint's, and the class
+    weights default to the checkpoint's training weights."""
     ckpt = TR.load_checkpoint(args.checkpoint)
     trained = RunConfig(ckpt.config_echo)
-    echo = trained.resolved()
-    if cfg:
-        _check_model_keys(cfg.doc.get("model", {}), echo["model"])
-        echo = dict(cfg.resolved(), model=echo["model"])
-    active = cfg or trained
-    utts = D.read_split(Path(args.data_dir) / args.split)
+    cfg = (_load_config(args) if args.config else  # a copy: trained keeps the echo
+           RunConfig(copy.deepcopy(ckpt.config_echo), overrides=args.set or []))
+    model_section = trained.resolved()["model"]
+    _check_model_keys(cfg.doc.get("model", {}), model_section)
+    echo = dict(cfg.resolved(), model=model_section)
+    # proj.weight is F x D; without it, load_into_model refuses the checkpoint
+    feature_dim = (dict(ckpt.inventory).get("proj.weight") or [None])[0]
+    utts = _read_splits(args.data_dir, (args.split,), feature_dim,
+                        f"checkpoint {args.checkpoint}")[args.split]
     model = Model(trained.model_config(utts[0].F), seed=0)
     TR.load_into_model(model, ckpt)
-    costs = active.tdcf_costs()
-    tconf = active.train_config()
-    mode = args.mode or active.eval_mode()
+    costs = cfg.tdcf_costs()
+    tconf = cfg.train_config()
+    mode = args.mode or cfg.eval_mode()
     report, records = M.evaluate(model, utts, mode=mode, costs=costs,
                                  target_T=tconf.target_T)
     weights = (tconf.class_weights or trained.train_config().class_weights
@@ -138,7 +156,7 @@ def _run_grid(args, variants, **fixed):
     the config's seed; print the rows and write them to --out-dir. `fixed`
     replaces model fields of the config before `base` is validated."""
     cfg = _load_config(args)
-    corpus = {s: D.read_split(Path(args.data_dir) / s) for s in D.SPLITS}
+    corpus = _read_splits(args.data_dir, D.SPLITS)
     base = cfg.model_config(corpus["train"][0].F, **fixed)
     tconf = cfg.train_config()
     table = {"rows": E.run_grid(

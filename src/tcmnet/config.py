@@ -55,7 +55,9 @@ _CHECKS = {
 
 
 class RunConfig:
-    def __init__(self, doc: dict):
+    def __init__(self, doc: dict, overrides=()):
+        for item in overrides:
+            doc = apply_override(doc, item)
         _validate(doc, _TYPES)
         self.doc = doc
         self.resolved()  # range-checks every section but the model's
@@ -68,9 +70,7 @@ class RunConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
-        for item in overrides:
-            doc = apply_override(doc, item)
-        return cls(doc)
+        return cls(doc, overrides)
 
     def corpus_spec(self) -> CorpusSpec:
         return CorpusSpec(**self.doc.get("corpus", {}))

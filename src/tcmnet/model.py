@@ -87,9 +87,8 @@ class DropoutCtx:
 
     Each mask draw bumps a layer counter, so reruns of the same step see
     the same mask sequence regardless of platform. A micro-batch's context
-    (`rows`) draws only its rows of each full-batch mask, and a pruned
-    block's mask only the leading rows of each utterance: Philox is a
-    counter-based generator, so it jumps straight to each run of values.
+    (`rows`) draws only its rows of each full-batch mask: Philox is a
+    counter-based generator, so it jumps straight to their first value.
     """
 
     def __init__(self, p, seed, epoch=0, batch=0, lo=0):
@@ -105,34 +104,17 @@ class DropoutCtx:
         (all r rows when `tokens` is unset)."""
         self.counter += 1
         bits = np.random.Philox(np.random.SeedSequence(list(self.key) + [self.counter]))
-        gen = np.random.Generator(bits)
         B, r, D = shape
         rows = self.tokens or r
-        u = np.empty(shape)
-        runs = u.reshape(1, -1) if rows == r else u.reshape(B, -1)
-        pos = 0  # values of the stream drawn so far
-        for i, run in enumerate(runs):
-            start = (self.lo + i) * rows * D
-            _seek(bits, pos, start)
-            gen.random(out=run)
-            pos = start + run.size
-        keep = u >= self.p
-        return keep / (1.0 - self.p)
+        start = self.lo * rows * D  # one counter step yields four values
+        bits.advance(start // 4)
+        bits.random_raw(start % 4)
+        u = np.random.Generator(bits).random((B, rows, D))[:, :r]
+        return (u >= self.p) / (1.0 - self.p)
 
     def rows(self, lo):
         """The masks of a micro-batch whose rows start at batch row `lo`."""
         return DropoutCtx(self.p, *self.key, lo=lo)
-
-
-def _seek(bits, pos, start):
-    """Move a Philox stream from value `pos` on to value `start` >= pos. One
-    counter step yields four values, and advancing drops the buffered ones."""
-    steps = start // 4 - -(-pos // 4)
-    if steps < 0:  # start lies in the buffered block
-        bits.random_raw(start - pos)
-    else:
-        bits.advance(steps)
-        bits.random_raw(start % 4)
 
 
 def _dropout(x, ctx):

@@ -30,7 +30,7 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -691,16 +691,6 @@ if hasattr(os, "register_at_fork"):  # not on Windows
     os.register_at_fork(after_in_child=_start_pool)
 
 
-def _gather(futures):
-    """Results of every future, in order; the first error is raised only
-    after every future has finished."""
-    errors = [f.exception() for f in futures]
-    for err in errors:
-        if err is not None:
-            raise err
-    return [f.result() for f in futures]
-
-
 def _on_tape(tape, grad, fn, *args):
     """fn(*args) recording to `tape` with grad mode `grad`; the thread's
     own tape and mode are restored after."""
@@ -761,4 +751,6 @@ def map_workers(fn, items):
     """
     if min(_usable_cpus(), len(items)) < 2 or _state.in_worker:
         return [fn(item) for item in items]
-    return _gather([_POOL.submit(fn, item) for item in items])
+    futures = [_POOL.submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]

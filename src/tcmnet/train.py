@@ -304,7 +304,6 @@ class TrainResult:
     history: list  # per-epoch {"epoch", "train_loss", "val_loss"}
     checkpoints: list
     final: Checkpoint
-    class_weights: list
 
 
 def train(model: Model, train_utts, dev_utts, config: TrainConfig,
@@ -327,4 +326,4 @@ def train(model: Model, train_utts, dev_utts, config: TrainConfig,
         if early_stop(losses, config.patience):
             break
     final = average_checkpoints(checkpoints, config.top_k_average)
-    return TrainResult(history, checkpoints, final, list(weights))
+    return TrainResult(history, checkpoints, final)

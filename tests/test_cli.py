@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,6 +288,55 @@ def test_eval_refuses_a_model_key_that_contradicts_the_checkpoint(
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key {key} ")
     assert not out.exists()
+
+
+def test_eval_without_config_applies_every_set(trained, tmp_path):
+    _, data_dir, run_dir = trained
+    out = tmp_path / "e"
+    assert main(["eval", "--checkpoint", str(run_dir / "final.ckpt"), "--data-dir",
+                 str(data_dir), "--out-dir", str(out), "--set", "eval.mode=variable",
+                 "--set", "train.target_T=5"]) == 0
+    assert json.loads((out / "report.json").read_text())["mode"] == "variable"
+    echo = json.loads((out / "resolved_config.json").read_text())
+    assert echo["eval"]["mode"] == "variable" and echo["train"]["target_T"] == 5
+
+
+@pytest.mark.parametrize("override, error", [
+    ("bogus.key=1", "error: unknown config key 'bogus'"),
+    ("model.dim=16", "error: config key model.dim is 16, but the checkpoint's model has 8"),
+], ids=["bogus.key", "model.dim"])
+def test_eval_without_config_refuses_a_bad_set(trained, tmp_path, capsys, override, error):
+    _, data_dir, run_dir = trained
+    out = tmp_path / "e"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "final.ckpt"), "--data-dir",
+                 str(data_dir), "--out-dir", str(out), "--set", override]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "dev"), ("ablate", "eval"),
+                                            ("eval", "eval")])
+def test_a_split_of_another_feature_dim_is_refused_before_any_run(
+        trained, tmp_path, capsys, monkeypatch, command, split):
+    config, data_dir, run_dir = trained
+    other = tmp_path / "other"
+    assert main(["gen-data", "--config", str(config), "--out-dir", str(other),
+                 "--set", "corpus.feature_dim=4"]) == 0
+    shutil.rmtree(data_dir / split)
+    shutil.copytree(other / split, data_dir / split)
+    source = {"eval": f"checkpoint {run_dir / 'final.ckpt'}"}.get(
+        command, f"split directory {data_dir / 'train'}")
+    args = {"eval": ["--checkpoint", str(run_dir / "final.ckpt")]}.get(
+        command, ["--config", str(config)])
+    forwards = []
+    monkeypatch.setattr(Model, "forward_batch", lambda *a, **k: forwards.append(a))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *args, "--data-dir", str(data_dir), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: split directory {data_dir / split} has "
+                                       f"feature dim 4, but {source} has 6\n")
+    assert forwards == [] and not out.exists()
 
 
 @pytest.mark.parametrize("model_section", [True, False])

@@ -600,6 +600,27 @@ def test_dropout_leading_rows_equal_a_slice_of_the_full_draw(lo):
             assert np.array_equal(got, want), (rows, r, D)
 
 
+def test_dropout_masks_equal_an_independent_philox_draw():
+    # the k-th mask of a context at batch row lo: rows lo:lo+B, and the
+    # leading r of each utterance's `tokens` rows, of a fresh whole-batch draw
+    rng, p, inside_a_block = np.random.default_rng(24), 0.3, 0
+    for _ in range(300):
+        B, D, tokens = (int(n) for n in rng.integers(1, [9, 7, 12]))
+        lo, key = int(rng.integers(0, 10)), [int(n) for n in rng.integers(0, 2**31, 3)]
+        ctx = DropoutCtx(p, *key, lo=lo)
+        if rng.random() < 0.25:  # tokens unset: a mask holds every row
+            r = tokens
+        else:
+            ctx.tokens, r = tokens, int(rng.integers(1, tokens + 1))
+        inside_a_block += lo * tokens * D % 4 != 0
+        for k in (1, 2, 3):
+            bits = np.random.Philox(np.random.SeedSequence(key + [k]))
+            u = np.random.Generator(bits).random((lo + B + 2, tokens, D))
+            want = (u[lo:lo + B, :r] >= p) / (1.0 - p)
+            assert np.array_equal(ctx.mask((B, r, D)), want), (B, r, tokens, D, lo, k)
+    assert inside_a_block > 50
+
+
 def _pruning_lengths(K):
     """T around the conv window K//2 + 1 that the pruned last block keeps."""
     return sorted({T for T in (1, K // 2 - 1, K // 2, K // 2 + 1, 3 * K) if T >= 1})
