@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ConfigError
+from .tensor import ConfigError, map_workers
 
 
 class FormatError(ValueError):
@@ -85,8 +85,10 @@ class CorpusSpec:
             raise ConfigError(f"spoof_fraction must be in (0,1), got {self.spoof_fraction}")
         if not 0.0 < self.ar_coeff < 1.0:
             raise ConfigError(f"ar_coeff must be in (0,1), got {self.ar_coeff}")
-        if self.amplitude < 0 or self.noise_scale <= 0:
-            raise ConfigError("amplitude must be >= 0 and noise_scale > 0")
+        if not 0 <= self.amplitude < math.inf:
+            raise ConfigError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.noise_scale < math.inf:
+            raise ConfigError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
 
 
 SPLITS = ("train", "dev", "eval")
@@ -128,35 +130,43 @@ def _split_labels(n, spoof_fraction, rng):
     return labels
 
 
-def _draw(spec, si, i, pool):
-    """Utterance i of split si: its scaled channel-mixed noise (T x F), drawn
-    before the AR(1) filter, and its artifact placement."""
-    rng = np.random.default_rng([spec.seed, si, i])
-    T = int(rng.integers(spec.t_min, spec.t_max + 1))
-    e = rng.standard_normal((T, spec.feature_dim))
-    # light channel mixing so channels are correlated
-    mixed = 0.5 * e + 0.25 * np.roll(e, 1, axis=1) + 0.25 * np.roll(e, -1, axis=1)
-    band_start = int(pool[rng.integers(len(pool))])
-    seg_start = int(rng.integers(T - spec.seg_len + 1))
-    return spec.noise_scale * mixed, {"band_start": band_start, "seg_start": seg_start}
+def _draw(spec, si, lo, hi, pool):
+    """Utterances lo:hi of split si before the AR(1) filter: their scaled channel-mixed
+    noise, zero-padded time-major (max T x hi-lo x F), their lengths and placements."""
+    rngs = [np.random.default_rng([spec.seed, si, i]) for i in range(lo, hi)]
+    lengths = [int(rng.integers(spec.t_min, spec.t_max + 1)) for rng in rngs]
+    e = np.zeros((max(lengths), hi - lo, spec.feature_dim))
+    metas = []
+    for j, (rng, T) in enumerate(zip(rngs, lengths)):
+        e[:T, j] = rng.standard_normal((T, spec.feature_dim))
+        metas.append({"band_start": int(pool[rng.integers(len(pool))]),
+                      "seg_start": int(rng.integers(T - spec.seg_len + 1))})
+    # channel mixing, x_c = (0.5 e_c + 0.25 e_c-1) + 0.25 e_c+1 cyclic in c: shifted
+    # adds over the flat buffer, then the wrapped first and last channels apart
+    x = e * 0.5
+    e *= 0.25
+    xf, ef = x.reshape(-1), e.reshape(-1)
+    first = x[..., 0] + e[..., -1]
+    xf[1:] += ef[:-1]
+    x[..., 0] = first
+    last = x[..., -1] + e[..., 0]
+    xf[:-1] += ef[1:]
+    x[..., -1] = last
+    x *= spec.noise_scale
+    return x, lengths, metas
 
 
-# generate_corpus runs its AR(1) filter over (T, utterances, F) time-major
-# chunks of about this many bytes
+# each generate_corpus task holds its chunk in two time-major buffers of about
+# this many bytes: calls on whole buffers release the GIL for long stretches
 _AR1_CHUNK_BYTES = 4 << 20
 
 
-def ar1(xs, a):
-    """Each T_i x F array of xs filtered along time, y_t = x_t + a y_{t-1},
-    as one time-major (max T_i) x len(xs) x F buffer. Bit for bit
-    scipy.signal.lfilter([1], [1, -a], x, axis=0), whose loop computes
-    1 x_t + (0 x_t - (-a) y_{t-1}) and so rounds as x_t + a y_{t-1}."""
-    buf = np.zeros((max(len(x) for x in xs), len(xs), xs[0].shape[1]))
-    for j, x in enumerate(xs):
-        buf[: len(x), j] = x
+def ar1(buf, a):
+    """buf filtered in place along its first (time) axis, y_t = x_t + a y_{t-1}.
+    Bit for bit scipy.signal.lfilter([1], [1, -a], buf, axis=0), whose loop
+    computes 1 x_t + (0 x_t - (-a) y_{t-1}) and so rounds as x_t + a y_{t-1}."""
     for t in range(1, len(buf)):
         buf[t] += a * buf[t - 1]
-    return [buf[: len(x), j].copy() for j, x in enumerate(xs)]
 
 
 def generate_corpus(spec: CorpusSpec):
@@ -164,32 +174,37 @@ def generate_corpus(spec: CorpusSpec):
 
     Per-utterance RNG streams are label-independent, so a spoof utterance
     and the amplitude-0 regeneration of the same id differ exactly on the
-    planted band x segment. Utterances are filtered in chunks of about
-    `_AR1_CHUNK_BYTES`; the chunking does not change a bit.
+    planted band x segment. Each chunk of about `_AR1_CHUNK_BYTES` is one
+    `map_workers` task that draws, mixes, filters and plants its utterances;
+    neither the chunking nor the CPU count changes a bit.
     """
     pattern = artifact_pattern(spec)
-    traindev_pool, eval_pool = _band_pools(spec)
+    pools = _band_pools(spec)  # (train and dev, eval)
     counts = {"train": spec.n_train, "dev": spec.n_dev, "eval": spec.n_eval}
     chunk = max(1, _AR1_CHUNK_BYTES // (8 * spec.t_max * spec.feature_dim))
-    corpus = {}
-    for si, split in enumerate(SPLITS):
-        n = counts[split]
-        label_rng = np.random.default_rng([spec.seed, si, 0xFACE])
-        labels = _split_labels(n, spec.spoof_fraction, label_rng)
-        pool = eval_pool if split == "eval" else traindev_pool
+    labels = [_split_labels(counts[split], spec.spoof_fraction,
+                            np.random.default_rng([spec.seed, si, 0xFACE]))
+              for si, split in enumerate(SPLITS)]
+    tasks = [(si, lo, min(lo + chunk, counts[split])) for si, split in enumerate(SPLITS)
+             for lo in range(0, counts[split], chunk)]
+
+    def run(task):
+        si, lo, hi = task
+        x, lengths, metas = _draw(spec, si, lo, hi, pools[SPLITS[si] == "eval"])
+        ar1(x, spec.ar_coeff)
         utts = []
-        for lo in range(0, n, chunk):
-            drawn = [_draw(spec, si, i, pool) for i in range(lo, min(lo + chunk, n))]
-            filtered = ar1([noise for noise, _ in drawn], spec.ar_coeff)
-            for i, x, (_, meta) in zip(range(lo, n), filtered, drawn):
-                label = LABELS[labels[i]]
-                if label == "spoof":
-                    band = slice(meta["band_start"], meta["band_start"] + spec.band_width)
-                    seg = slice(meta["seg_start"], meta["seg_start"] + spec.seg_len)
-                    x[seg, band] += spec.amplitude * pattern[:, band]
-                utts.append(Utterance(id=f"{split}_{i:05d}", features=x, label=label,
-                                      meta=meta))
-        corpus[split] = utts
+        for i, T, meta in zip(range(lo, hi), lengths, metas):
+            feats, label = x[:T, i - lo].copy(), LABELS[labels[si][i]]
+            if label == "spoof":
+                band = slice(meta["band_start"], meta["band_start"] + spec.band_width)
+                seg = slice(meta["seg_start"], meta["seg_start"] + spec.seg_len)
+                feats[seg, band] += spec.amplitude * pattern[:, band]
+            utts.append(Utterance(f"{SPLITS[si]}_{i:05d}", feats, label, meta))
+        return utts
+
+    corpus = {split: [] for split in SPLITS}
+    for (si, _, _), utts in zip(tasks, map_workers(run, tasks)):
+        corpus[SPLITS[si]] += utts
     return corpus
 
 

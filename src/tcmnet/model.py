@@ -220,9 +220,6 @@ class Model:
         replica._bind(grad)
         return replica
 
-    def p(self, name):
-        return self.params[name]
-
     def _linear(self, x, name):
         return tt.affine(x, self.params[name + ".weight"], self.params[name + ".bias"])
 
@@ -256,7 +253,7 @@ class Model:
     def prepend_cls(self, x):
         """(..., T, D) -> (..., T+1, D) tokens with the classification token
         at row 0."""
-        cls_rows = tt.expand(self.p("cls"), x.shape[:-2] + (1, self.config.dim))
+        cls_rows = tt.expand(self.params["cls"], x.shape[:-2] + (1, self.config.dim))
         return tt.concat([cls_rows, x], axis=-2)
 
     def _mhsa(self, x, prefix, trace=None, rows=None):
@@ -275,7 +272,7 @@ class Model:
         segments = tt.reshape(pooled, pooled.shape[:-1] + (c.heads, c.head_dim))
         ht = tt.gelu(self._linear(segments, prefix + "tcm.head_proj"))
         if c.toggles.ht_embedding:
-            ht = tt.add(ht, self.p(prefix + "tcm.head_token_embedding"))
+            ht = tt.add(ht, self.params[prefix + "tcm.head_token_embedding"])
         return ht
 
     def tcm_attention(self, tokens, head_tokens, prefix, trace=None, rows=None):
@@ -336,7 +333,7 @@ class Model:
         a = tt.slice_axis(h, -1, 0, c.dim)
         b = tt.slice_axis(h, -1, c.dim, 2 * c.dim)
         h = tt.mul(a, tt.sigmoid(b))  # GLU
-        h = tt.swish(tt.depthwise_conv1d(h, self.p(prefix + "conv.dw.kernel")))
+        h = tt.swish(tt.depthwise_conv1d(h, self.params[prefix + "conv.dw.kernel"]))
         return tt.add(x, self._linear(h, prefix + "conv.pw2"))
 
     def _attention_residual(self, x, prefix, drop, trace, rows=None):

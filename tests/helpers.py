@@ -1,6 +1,6 @@
 """Shared test utilities: central finite differences for gradient checks,
 checkpoints built from and read as name -> array dicts, one utterance's
-score, and code run in a fresh interpreter."""
+score, a mocked CPU count, and code run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import tcmnet
+from tcmnet import tensor as tt
 from tcmnet.model import unflatten
 from tcmnet.train import Checkpoint
 
@@ -21,6 +22,12 @@ def run_in_fresh_interpreter(code):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+def use_cpus(monkeypatch, n):
+    """The worker pool's callers see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    assert tt._usable_cpus() == n
 
 
 def forward_score(model, features):

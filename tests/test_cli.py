@@ -104,7 +104,7 @@ def test_a_value_of_the_wrong_type_names_its_key(tiny_config, capsys, override):
     ("gen-data", "corpus.seed=-2"), ("train", "train.weight_decay=-0.5"),
     ("eval", "tdcf.c0=NaN"), ("train", "train.lr=NaN"),
     ("train", "train.class_weights=[1, Infinity]"), ("gen-data", "corpus.pattern_seed=-1"),
-    ("train", "eval.mode=bogus"),
+    ("train", "eval.mode=bogus"), ("gen-data", "corpus.noise_scale=NaN"),
 ])
 def test_an_out_of_range_value_names_its_field(trained, tmp_path, capsys, command,
                                                override):

@@ -1,9 +1,12 @@
+import math
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
 import oracles as oc
 import pytest
+from helpers import use_cpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
@@ -15,6 +18,7 @@ from tcmnet.data import (
     CorpusSpec,
     FormatError,
     Utterance,
+    _draw,
     ar1,
     artifact_pattern,
     batch_iter,
@@ -54,6 +58,10 @@ def tiny_spec(**kw):
         dict(ar_coeff=1.0),
         dict(noise_scale=0.0),
         dict(n_train=0),
+        dict(noise_scale=math.nan),
+        dict(noise_scale=math.inf),
+        dict(amplitude=math.nan),
+        dict(amplitude=math.inf),
     ],
 )
 def test_spec_validation(kw):
@@ -129,7 +137,8 @@ def test_matched_filter_oracle_separates_large_amplitude():
 @pytest.mark.parametrize("T", [1, 2, 250])
 def test_ar1_is_lfilter_bit_for_bit(T, a):
     x = np.random.default_rng(T).standard_normal((T, 7)) * 3.0
-    (y,) = ar1([x], a)
+    y = x.copy()
+    ar1(y, a)
     assert y.flags.c_contiguous
     assert y.tobytes() == lfilter([1.0], [1.0, -a], x, axis=0).tobytes()
 
@@ -137,7 +146,12 @@ def test_ar1_is_lfilter_bit_for_bit(T, a):
 def test_ar1_filters_utterances_of_several_lengths_in_one_buffer():
     rng = np.random.default_rng(3)
     xs = [rng.standard_normal((T, 5)) for T in (4, 1, 9, 9, 2)]
-    for x, y in zip(xs, ar1(xs, 0.9)):
+    buf = np.zeros((9, len(xs), 5))
+    for j, x in enumerate(xs):
+        buf[: len(x), j] = x
+    ar1(buf, 0.9)
+    for j, x in enumerate(xs):
+        y = buf[: len(x), j]
         assert y.tobytes() == lfilter([1.0], [1.0, -0.9], x, axis=0).tobytes()
 
 
@@ -149,13 +163,40 @@ def test_generate_corpus_matches_the_per_utterance_oracle(monkeypatch, amplitude
     if per_chunk is not None:  # every split spans several chunks
         monkeypatch.setattr(data, "_AR1_CHUNK_BYTES",
                             per_chunk * 8 * spec.t_max * spec.feature_dim + 8)
-    chunks = []
-    monkeypatch.setattr(data, "ar1", lambda xs, a: chunks.append(len(xs)) or ar1(xs, a))
-    got, want = generate_corpus(spec), oc.generate_corpus_np(spec)
-    assert chunks == {None: [7, 3, 5], 1: [1] * 15, 3: [3, 3, 1, 3, 3, 2]}[per_chunk]
-    for split in SPLITS:
-        assert [(u.id, u.label, u.features.tobytes(), u.meta) for u in got[split]] \
-            == [(i, label, x.tobytes(), meta) for i, label, x, meta in want[split]]
+    want, chunks = oc.generate_corpus_np(spec), []  # chunks: (split, first utterance, size)
+    monkeypatch.setattr(data, "_draw", lambda spec, si, lo, hi, pool: chunks.append(
+        (si, lo, hi - lo)) or _draw(spec, si, lo, hi, pool))
+    for n in (1, 2, 3):
+        use_cpus(monkeypatch, n)
+        chunks.clear()
+        got = generate_corpus(spec)
+        assert [size for _, _, size in sorted(chunks)] \
+            == {None: [7, 3, 5], 1: [1] * 15, 3: [3, 3, 1, 3, 3, 2]}[per_chunk], n
+        for split in SPLITS:
+            assert [(u.id, u.label, u.features.tobytes(), u.meta) for u in got[split]] \
+                == [(i, label, x.tobytes(), meta) for i, label, x, meta in want[split]], n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_chunk_error_reaches_the_caller_after_every_chunk_of_the_corpus(n, monkeypatch):
+    use_cpus(monkeypatch, n)
+    spec = tiny_spec(n_train=7, n_dev=3, n_eval=5)
+    monkeypatch.setattr(data, "_AR1_CHUNK_BYTES", 8 * spec.t_max * spec.feature_dim)
+    done = []
+
+    def first_chunk_fails(spec, si, lo, hi, pool):
+        # the chunk of train_00000 is submitted first and fails at once
+        if (si, lo) == (0, 0):
+            raise ValueError("chunk failed")
+        time.sleep(0.01)
+        drawn = _draw(spec, si, lo, hi, pool)
+        done.append(hi - lo)
+        return drawn
+
+    monkeypatch.setattr(data, "_draw", first_chunk_fails)
+    with pytest.raises(ValueError, match="chunk failed"):
+        generate_corpus(spec)
+    assert sum(done) == 7 + 3 + 5 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,8 @@ def test_evaluate_reports_counts_and_range():
 def test_evaluate_constant_scores_half_eer():
     utts = _tiny_split()
     model = _tiny_model()
-    model.p("head.weight").data[:] = 0.0
-    model.p("head.bias").data[:] = 0.0
+    model.params["head.weight"].data[:] = 0.0
+    model.params["head.bias"].data[:] = 0.0
     report, _ = evaluate(model, utts, mode="fixed", target_T=10)
     assert report["eer"] == 0.5
 

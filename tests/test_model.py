@@ -71,14 +71,14 @@ def test_config_rejects_even_kernel():
 
 def test_project_features_zero_weights():
     m = Model(small_config(), seed=0)
-    m.p("proj.weight").data[:] = 0.0
+    m.params["proj.weight"].data[:] = 0.0
     out = m.project_features(np.random.default_rng(0).standard_normal((4, 6)))
     assert np.array_equal(out.data, np.zeros((4, 8)))
 
 
 def test_project_features_identity():
     m = Model(small_config(feature_dim=8), seed=0)
-    m.p("proj.weight").data[...] = np.eye(8)
+    m.params["proj.weight"].data[...] = np.eye(8)
     x = np.random.default_rng(1).standard_normal((5, 8))
     assert np.array_equal(m.project_features(x).data, x)
 
@@ -86,7 +86,7 @@ def test_project_features_identity():
 def test_project_features_oracle():
     m = Model(small_config(positional_encoding="sinusoidal"), seed=2)
     x = np.random.default_rng(2).standard_normal((7, 6))
-    expect = x @ m.p("proj.weight").data + m.p("proj.bias").data
+    expect = x @ m.params["proj.weight"].data + m.params["proj.bias"].data
     expect = expect + oc.sinusoidal_np(7, 8)
     assert np.array_equal(m.project_features(x).data, expect)
 
@@ -103,7 +103,7 @@ def test_prepend_cls():
     seq = m.prepend_cls(Tensor(x))
     assert seq.shape[-2] - 1 == 3
     assert seq.shape == (4, 8)
-    assert np.array_equal(seq.data[0], m.p("cls").data)
+    assert np.array_equal(seq.data[0], m.params["cls"].data)
     assert np.array_equal(seq.data[1:], x)
     empty = m.prepend_cls(Tensor(np.zeros((0, 8))))
     assert empty.shape[-2] - 1 == 0 and empty.shape == (1, 8)
@@ -115,11 +115,11 @@ def test_prepend_cls():
 
 def test_head_tokens_zero_projection_equals_embedding():
     m = Model(small_config(), seed=4)
-    m.p("block0.tcm.head_proj.weight").data[:] = 0.0
-    m.p("block0.tcm.head_proj.bias").data[:] = 0.0
+    m.params["block0.tcm.head_proj.weight"].data[:] = 0.0
+    m.params["block0.tcm.head_proj.bias"].data[:] = 0.0
     seq = m.prepend_cls(Tensor(np.random.default_rng(4).standard_normal((5, 8))))
     ht = m.generate_head_tokens(seq, "block0.")
-    assert np.array_equal(ht.data, m.p("block0.tcm.head_token_embedding").data)
+    assert np.array_equal(ht.data, m.params["block0.tcm.head_token_embedding"].data)
 
 
 def test_head_tokens_permutation_invariant():
@@ -137,9 +137,9 @@ def test_head_tokens_hand_case():
     m = Model(cfg, seed=7)
     token = np.array([1.0, 2.0, 3.0, 4.0])
     seq = Tensor(np.stack([token, token]))
-    w = m.p("block0.tcm.head_proj.weight").data
-    b = m.p("block0.tcm.head_proj.bias").data
-    emb = m.p("block0.tcm.head_token_embedding").data
+    w = m.params["block0.tcm.head_proj.weight"].data
+    b = m.params["block0.tcm.head_proj.bias"].data
+    emb = m.params["block0.tcm.head_token_embedding"].data
     pooled = np.array([[1.0, 2.0], [3.0, 4.0]])  # contiguous d=2 segments
     expect = oc.gelu_np(pooled @ w + b) + emb
     got = m.generate_head_tokens(seq, "block0.").data
@@ -153,9 +153,9 @@ def test_head_tokens_hand_case():
 def test_uniform_attention_outputs_row_mean():
     m = Model(small_config(), seed=8)
     for n in ("wq", "wk"):
-        m.p(f"block0.attn.{n}.weight").data[:] = 0.0
+        m.params[f"block0.attn.{n}.weight"].data[:] = 0.0
     for n in ("wv", "wo"):
-        m.p(f"block0.attn.{n}.weight").data[...] = np.eye(8)
+        m.params[f"block0.attn.{n}.weight"].data[...] = np.eye(8)
     x = np.random.default_rng(8).standard_normal((5, 8))
     ht = np.random.default_rng(9).standard_normal((2, 8))
     seq = Tensor(x)
@@ -307,11 +307,11 @@ def test_transformer_block_zero_ffn_keeps_attention_output():
     cfg = small_config(block_kind="transformer")
     m = Model(cfg, seed=23)
     for n in ("lin1", "lin2"):
-        m.p(f"block0.ffn.{n}.weight").data[:] = 0.0
+        m.params[f"block0.ffn.{n}.weight"].data[:] = 0.0
     x = np.random.default_rng(23).standard_normal((5, 8))
     out = m.block_forward(Tensor(x), 0).data
-    h = tt.layer_norm(Tensor(x), m.p("block0.ln_attn.gamma"),
-                      m.p("block0.ln_attn.beta"))
+    h = tt.layer_norm(Tensor(x), m.params["block0.ln_attn.gamma"],
+                      m.params["block0.ln_attn.beta"])
     attn_resid = x + m.tcm_forward(h, "block0.").data
     assert np.max(np.abs(out - attn_resid)) < 1e-12
 
@@ -330,7 +330,7 @@ def test_model_forward_deterministic():
 
 def test_model_forward_zero_head_scores_zero():
     m = Model(small_config(), seed=25)
-    m.p("head.weight").data[:] = 0.0
+    m.params["head.weight"].data[:] = 0.0
     x = np.random.default_rng(25).standard_normal((4, 6))
     assert forward_score(m, x) == 0.0
     assert np.array_equal(m.forward_batch(x[None]).data, np.zeros((1, 2)))
@@ -677,7 +677,7 @@ def test_pruned_forward_draws_the_full_row_dropout_masks(kind):
     seq = m.prepend_cls(m.project_features(feats))
     for b in range(2):
         seq = m.block_forward(seq, b, drop=drop)  # every row
-    want = seq.data[:, 0] @ m.p("head.weight").data + m.p("head.bias").data
+    want = seq.data[:, 0] @ m.params["head.weight"].data + m.params["head.bias"].data
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import forward_score
+from helpers import forward_score, use_cpus
 from tcmnet import metrics
 from tcmnet import tensor as tt
 from tcmnet.data import CorpusSpec, Utterance, fix_length, generate_corpus
@@ -49,11 +49,6 @@ def busy_threads():
         sys.setswitchinterval(interval)
 
 
-def _use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    assert tt._usable_cpus() == n
-
-
 def _config(kind, toggles):
     return ModelConfig(feature_dim=6, dim=8, heads=2, blocks=2, conv_kernel=3,
                        dropout=0.2, block_kind=kind, toggles=toggles)
@@ -81,7 +76,7 @@ def test_shard_count_does_not_change_results(kind, monkeypatch, busy_threads):
         cfg = _config(kind, toggles)
         results = {}
         for n in (1, 2, 3):
-            _use_cpus(monkeypatch, n)
+            use_cpus(monkeypatch, n)
             results[n] = _run(cfg, corpus)
         for n in (2, 3):
             assert results[n] == results[1], (name, n)
@@ -102,7 +97,7 @@ def _check_scores_at_every_chunk_and_cpu_count(monkeypatch, m, utts, want, **kw)
     for chunk in (8, 32):
         monkeypatch.setattr(metrics, "SCORE_CHUNK", chunk)
         for n in (1, 2, 3):
-            _use_cpus(monkeypatch, n)
+            use_cpus(monkeypatch, n)
             records = score_split(m, utts, **kw)
             assert [r.id for r in records] == [u.id for u in utts], (chunk, n)
             assert [r.score for r in records] == want, (chunk, n)
@@ -128,7 +123,7 @@ def test_fixed_scoring_matches_forward_per_utterance(monkeypatch, busy_threads):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_training_after_scoring_records_on_shard_tapes(n, monkeypatch):
-    _use_cpus(monkeypatch, n)
+    use_cpus(monkeypatch, n)
     corpus = generate_corpus(CorpusSpec(n_train=6, n_dev=1, n_eval=20, feature_dim=6,
                                         t_min=8, t_max=12, band_width=2, seg_len=4,
                                         amplitude=2.0, seed=16))
@@ -153,7 +148,7 @@ def test_training_after_scoring_records_on_shard_tapes(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_chunk_error_reaches_the_caller_after_every_chunk(n, monkeypatch):
-    _use_cpus(monkeypatch, n)
+    use_cpus(monkeypatch, n)
     utts = _mixed_length_split()
     m = Model(_config("transformer", TcmToggles()), seed=17)
     score, done = Model.score, []
@@ -177,7 +172,7 @@ def test_a_chunk_error_reaches_the_caller_after_every_chunk(n, monkeypatch):
 
 
 def test_score_takes_one_utterance_or_a_stack(monkeypatch):
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     m = Model(_config("conformer", TcmToggles()), seed=13)
     feats = np.random.default_rng(13).standard_normal((5, 9, 6))
     x = Tensor(np.ones(3), requires_grad=True)
@@ -198,7 +193,7 @@ def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
     feats = np.random.default_rng(6).standard_normal((7, 9, 6))
     grads = {}
     for n in (1, 2, 3):
-        _use_cpus(monkeypatch, n)
+        use_cpus(monkeypatch, n)
         tt.reset_tape()
         m.zero_grads()
         logits = batch_logits(m, feats, drop=DropoutCtx(0.2, 6))
@@ -214,7 +209,7 @@ def test_sharded_gradients_match_one_thread(monkeypatch, busy_threads):
 @pytest.mark.parametrize("B", [1, 7, 20])
 def test_step_gradient_is_the_in_order_sum_of_the_micro_batch_gradients(
         kind, B, monkeypatch, busy_threads):
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     m = Model(_config(kind, TcmToggles()), seed=B)
     rng = np.random.default_rng(B)
     feats, w = rng.standard_normal((B, 9, 6)), rng.standard_normal((B, 2))
@@ -254,7 +249,7 @@ def test_backward_leaves_no_gradient_on_any_tape_node(n, monkeypatch):
     # an intermediate gradient is freed once its node's backward has run;
     # only the parameters keep theirs (their sum over micro-batches is
     # checked above)
-    _use_cpus(monkeypatch, n)
+    use_cpus(monkeypatch, n)
     m = Model(_config("conformer", TcmToggles()), seed=8)
     rng = np.random.default_rng(8)
     feats, w = rng.standard_normal((7, 9, 6)), Tensor(rng.standard_normal((7, 2)))
@@ -287,7 +282,7 @@ def _send_logits(m, feats, conn):
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
 def test_a_forked_child_runs_sharded_calls_on_a_pool_of_its_own(monkeypatch):
     # the child inherits the parent's started pool, but none of its threads
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     m = Model(_config("conformer", VARIANTS[1][1]), seed=9)
     feats = np.random.default_rng(9).standard_normal((4, 9, 6))
     expected = batch_logits(m, feats).data.tobytes()
@@ -346,7 +341,7 @@ def test_each_thread_records_on_its_own_tape():
 
 
 def test_shard_nodes_stay_off_the_callers_tape(monkeypatch):
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     m = Model(_config("conformer", VARIANTS[1][1]), seed=7)
     feats = np.random.default_rng(7).standard_normal((4, 9, 6))
     shard_tapes = []
@@ -367,7 +362,7 @@ def test_shard_nodes_stay_off_the_callers_tape(monkeypatch):
 
 
 def test_shard_tapes_are_freed_after_a_training_step(monkeypatch):
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     corpus = generate_corpus(CorpusSpec(n_train=4, n_dev=1, n_eval=1, feature_dim=6,
                                         t_min=8, t_max=12, band_width=2, seg_len=4,
                                         amplitude=2.0, seed=9))
@@ -389,7 +384,7 @@ def test_shard_tapes_are_freed_after_a_training_step(monkeypatch):
 
 
 def test_shard_error_reaches_the_caller(monkeypatch):
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
 
     def rows(i, lo, hi):
         if lo:
@@ -402,7 +397,7 @@ def test_shard_error_reaches_the_caller(monkeypatch):
 
 def test_shard_rows_inside_a_shard_runs_on_that_shards_thread(monkeypatch, busy_threads):
     # a nested call that queued on the busy pool would wait for itself
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     threads = []
 
     def outer(i, lo, hi):
@@ -420,7 +415,7 @@ def test_shard_rows_inside_a_shard_runs_on_that_shards_thread(monkeypatch, busy_
 
 def test_calls_inside_a_map_workers_item_run_on_that_items_thread(monkeypatch, busy_threads):
     # a nested call that queued on the busy pool would wait for itself
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     seen = []
 
     def item(i):

@@ -353,8 +353,8 @@ def test_validate_is_idempotent_and_pure():
 def test_validate_random_model_near_ln2():
     corpus = tiny_corpus(n_dev=50)
     model = tiny_model()
-    model.p("head.weight").data[:] = 0.0
-    model.p("head.bias").data[:] = 0.0
+    model.params["head.weight"].data[:] = 0.0
+    model.params["head.bias"].data[:] = 0.0
     cfg = tiny_train_config()
     loss = validate(model, corpus["dev"], cfg, [1.0, 1.0])
     assert loss == pytest.approx(np.log(2.0), abs=1e-9)
